@@ -5,6 +5,13 @@ inner loops with machine-word arithmetic and overflow detection; whenever a
 computation cannot be carried out safely in 64-bit words it returns None and
 the pure-Python kernel takes over, so results never depend on which backend
 ran.  Set ``QDISTMAT_PURE=1`` to force the pure backend.
+
+The pure ``bareiss_det`` is a Kronecker-substitution determinant: entries
+are evaluated at q = 2^B, where B is chosen so that 2^(B-1) exceeds the
+Hadamard bound sqrt(prod_i sum_j ||M_ij||_1^2) on every coefficient of
+every minor; one fraction-free integer elimination follows, and the signed
+base-2^B digits of the result are the determinant's coefficients.  See
+``pure.bareiss_det`` for the proof sketch.
 """
 
 import importlib

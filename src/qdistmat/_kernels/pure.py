@@ -4,6 +4,13 @@ Coefficient lists are little-endian by degree, hold plain Python ints, and
 are canonical: the last entry is nonzero, the zero polynomial is ``[]``.
 The compiled module in ``_speedups`` implements the same surface with
 machine-word fast paths; results must be identical.
+
+``bareiss_det`` does not eliminate over polynomials: it packs each entry
+into one integer by Kronecker substitution (q = 2^B, with B from a
+Hadamard bound that covers every minor), runs integer Bareiss, and reads
+the coefficients back as signed base-2^B digits, so each elimination step
+is one big-integer multiply-subtract-divide instead of schoolbook
+polynomial products and exact divisions.
 """
 
 import itertools
@@ -35,15 +42,6 @@ def poly_mul(a, b):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out  # leading product of nonzeros is nonzero over the integers
-
-
-def _sub_inplace(a, b):
-    # a -= b, both plain lists; result canonical
-    if len(b) > len(a):
-        a.extend([0] * (len(b) - len(a)))
-    for j, bj in enumerate(b):
-        a[j] -= bj
-    return _trim(a)
 
 
 def poly_exact_div(a, b):
@@ -79,41 +77,81 @@ def poly_exact_div(a, b):
 def bareiss_det(rows):
     """Exact determinant of a square matrix of coefficient lists.
 
-    Single-step fraction-free elimination; every division is by the
-    previous pivot and is exact by the Sylvester minor identity.  A zero
+    Kronecker substitution: every entry is evaluated at q = 2^B, one
+    fraction-free Bareiss elimination runs on the resulting integers, and
+    the determinant's coefficients are read back as the signed base-2^B
+    digits of the result.  B comes from a bound on the coefficients of
+    every minor of the matrix:
+
+        sq = prod_i sum_j ||M_ij||_1^2,   B = (bit_length(sq) + 1) // 2 + 2.
+
+    For |z| = 1, |M_ij(z)| <= ||M_ij||_1, so by Hadamard's inequality
+    |det M(z)| <= sqrt(sq); by Parseval every coefficient of det M is at
+    most the maximum of |det M(z)| on the unit circle, hence below
+    2^(B-1).  With no zero row each row factor is at least 1, so the same
+    bound covers every minor, and thus every intermediate Bareiss entry
+    (each is a minor, by the Sylvester identity).  A polynomial whose
+    coefficients lie below 2^(B-1) in absolute value is zero exactly when
+    its value at 2^B is, so the zero-pivot tests, and with them the
+    column swaps, are those of elimination over polynomials.  A zero
     pivot is repaired by swapping in the first column to its right whose
     entry in the pivot row is nonzero (sign tracked); if the whole pivot
-    row is zero the determinant is zero.
+    row is zero the determinant is zero.  Every division is by the
+    previous pivot and is exact.
     """
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    m = [[list(e) for e in row] for row in rows]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
+    sq = 1
+    for row in rows:
+        sq *= sum(sum(map(abs, e)) ** 2 for e in row)
+    if not sq:  # a zero row
+        return []
+    bits = (sq.bit_length() + 1) // 2 + 2
+    m = [[_pack(e, bits) for e in row] for row in rows]
     sign = 1
-    prev = None  # pivot of the previous step; first step divides by 1
+    prev = 1  # pivot of the previous step; the first step divides by 1
     for k in range(n - 1):
-        if not m[k][k]:
+        rowk = m[k]
+        if not rowk[k]:
             for j in range(k + 1, n):
-                if m[k][j]:
+                if rowk[j]:
                     for row in m:
                         row[k], row[j] = row[j], row[k]
                     sign = -sign
                     break
             else:
                 return []
-        piv = m[k][k]
+        piv = rowk[k]
         for i in range(k + 1, n):
-            rik = m[i][k]
+            rowi = m[i]
+            rik = rowi[k]
             for j in range(k + 1, n):
-                t = _sub_inplace(poly_mul(piv, m[i][j]), poly_mul(rik, m[k][j]))
-                m[i][j] = t if prev is None else poly_exact_div(t, prev)
+                rowi[j] = (piv * rowi[j] - rik * rowk[j]) // prev
         prev = piv
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = [-c for c in det]
-    return det
+    return _unpack(sign * m[n - 1][n - 1], bits)
+
+
+def _pack(coeffs, bits):
+    # value at q = 2^bits, by shift-Horner
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << bits) + c
+    return v
+
+
+def _unpack(v, bits):
+    # signed base-2^bits digits of v, each in [-2^(bits-1), 2^(bits-1))
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    out = []
+    while v:
+        d = ((v + half) & mask) - half
+        out.append(d)
+        v = (v - d) >> bits
+    return out
 
 
 _SIGN_CACHE = {}

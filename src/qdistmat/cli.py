@@ -12,6 +12,7 @@ any reported failure is replayable.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import sys
@@ -26,7 +27,6 @@ from .polyring import Poly, qbracket
 from .qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star, minor
 from .treekit import (
     MAX_EXHAUSTIVE_N,
-    InvalidTreeError,
     WeightedTree,
     enumerate_trees,
     load_tree,
@@ -51,10 +51,40 @@ def _fail_usage(message: str):
     sys.exit(EXIT_USAGE)
 
 
+def _make_trees(factory, *args):
+    """Call a tree constructor; a rejected tree or tree parameter exits 2.
+
+    ``InvalidTreeError`` is a ``ValueError``, and the random and exhaustive
+    generators raise ``ValueError`` on bad parameters at call time.
+    """
+    try:
+        return factory(*args)
+    except ValueError as exc:
+        _fail_usage(str(exc))
+
+
+def _check_exhaustive_cap(exhaustive_n: int, allow_n8: bool):
+    cap = MAX_EXHAUSTIVE_N if allow_n8 else DEFAULT_EXHAUSTIVE_CAP
+    if not 2 <= exhaustive_n <= cap:
+        raise click.UsageError(
+            f"--exhaustive supports 2..{cap}"
+            + ("" if allow_n8 else " (use --allow-n8 to raise the cap)")
+        )
+
+
 # -- tree sources ----------------------------------------------------------
 
 
 def tree_source_options(f):
+    """Add the tree-source options; the command receives the tree as ``t``."""
+
+    @functools.wraps(f)
+    def command(tree_file, prufer_seq, random_n, path_n, star_n,
+                weights_text, max_weight, seed, **kwargs):
+        t = _make_trees(resolve_tree, tree_file, prufer_seq, random_n, path_n,
+                        star_n, weights_text, max_weight, seed)
+        return f(t, **kwargs)
+
     opts = [
         click.option("--tree", "tree_file", metavar="FILE", default=None,
                      help="Read the tree from FILE (text or JSON format)."),
@@ -74,8 +104,8 @@ def tree_source_options(f):
                      help="Seed for --random."),
     ]
     for opt in reversed(opts):
-        f = opt(f)
-    return f
+        command = opt(command)
+    return command
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -171,14 +201,8 @@ def main():
 @main.command("det")
 @tree_source_options
 @output_option
-def cmd_det(tree_file, prufer_seq, random_n, path_n, star_n,
-            weights_text, max_weight, seed, fmt):
+def cmd_det(t, fmt):
     """Determinants of all four matrix constructions vs. closed forms."""
-    try:
-        t = resolve_tree(tree_file, prufer_seq, random_n, path_n, star_n,
-                         weights_text, max_weight, seed)
-    except InvalidTreeError as exc:
-        _fail_usage(str(exc))
     if t.n < 2:
         raise click.UsageError("det needs a tree with at least 2 vertices")
     checks = det_checks(t)
@@ -304,17 +328,12 @@ def cmd_verify(exhaustive_n, trials, trials_alias, n_max, max_weight, seed,
     if (exhaustive_n is None) == (trials is None):
         raise click.UsageError("choose exactly one of --exhaustive N or --random T")
     if exhaustive_n is not None:
-        cap = MAX_EXHAUSTIVE_N if allow_n8 else DEFAULT_EXHAUSTIVE_CAP
-        if not 2 <= exhaustive_n <= cap:
-            raise click.UsageError(
-                f"--exhaustive supports 2..{cap}"
-                + ("" if allow_n8 else " (use --allow-n8 to raise the cap)")
-            )
+        _check_exhaustive_cap(exhaustive_n, allow_n8)
         if exhaustive_n == MAX_EXHAUSTIVE_N:
             click.echo("warning: exhaustive n=8 sweeps 262144 trees through the "
                        "full identity suite; expect on the order of an hour",
                        err=True)
-        trees = enumerate_trees(exhaustive_n, weight)
+        trees = _make_trees(enumerate_trees, exhaustive_n, weight)
         mode = {"mode": "exhaustive", "n": exhaustive_n, "weight": weight}
         count, checks, failures = _run_verify_corpus(trees, True)
     else:
@@ -322,7 +341,7 @@ def cmd_verify(exhaustive_n, trials, trials_alias, n_max, max_weight, seed,
             raise click.UsageError("--random needs at least 1 trial")
         if n_max < 2:
             raise click.UsageError("--n-max must be at least 2")
-        trees = random_trees(trials, 2, n_max, max_weight, seed)
+        trees = _make_trees(random_trees, trials, 2, n_max, max_weight, seed)
         mode = {"mode": "random", "trials": trials, "n_max": n_max,
                 "max_weight": max_weight, "seed": seed}
         count, checks, failures = _run_verify_corpus(trees, False)
@@ -359,14 +378,8 @@ def cmd_verify(exhaustive_n, trials, trials_alias, n_max, max_weight, seed,
 @click.option("--k-max", type=int, default=None,
               help="Largest k to report (default: largest nonzero entry).")
 @output_option
-def cmd_perm_table(tree_file, prufer_seq, random_n, path_n, star_n,
-                   weights_text, max_weight, seed, k_max, fmt):
+def cmd_perm_table(t, k_max, fmt):
     """Signed permutation statistics: oracle, determinant, and closed forms."""
-    try:
-        t = resolve_tree(tree_file, prufer_seq, random_n, path_n, star_n,
-                         weights_text, max_weight, seed)
-    except InvalidTreeError as exc:
-        _fail_usage(str(exc))
     if t.n < 2 or t.n > permlab.PERM_MAX_N:
         raise click.UsageError(f"perm-table supports 2 <= n <= {permlab.PERM_MAX_N}")
     simple = t.is_simple()
@@ -426,14 +439,8 @@ def cmd_perm_table(tree_file, prufer_seq, random_n, path_n, star_n,
 @main.command("wiener")
 @tree_source_options
 @output_option
-def cmd_wiener(tree_file, prufer_seq, random_n, path_n, star_n,
-               weights_text, max_weight, seed, fmt):
+def cmd_wiener(t, fmt):
     """Wiener polynomial and Wiener index."""
-    try:
-        t = resolve_tree(tree_file, prufer_seq, random_n, path_n, star_n,
-                         weights_text, max_weight, seed)
-    except InvalidTreeError as exc:
-        _fail_usage(str(exc))
     poly = wiener.wiener_poly(t)
     index = poly.derivative_at_one()
     if fmt == "json":
@@ -459,14 +466,8 @@ def cmd_wiener(tree_file, prufer_seq, random_n, path_n, star_n,
 @click.option("--output", "fmt", type=click.Choice(["plain", "json"]),
               default="plain", show_default=True,
               help="plain = text tree format, json = JSON tree format.")
-def cmd_gen_tree(tree_file, prufer_seq, random_n, path_n, star_n,
-                 weights_text, max_weight, seed, out_file, fmt):
+def cmd_gen_tree(t, out_file, fmt):
     """Generate a tree and write it in the tree file format."""
-    try:
-        t = resolve_tree(tree_file, prufer_seq, random_n, path_n, star_n,
-                         weights_text, max_weight, seed)
-    except InvalidTreeError as exc:
-        _fail_usage(str(exc))
     text = (json.dumps(tree_to_json_dict(t), indent=2) + "\n") if fmt == "json" \
         else tree_to_text(t)
     if out_file:
@@ -489,25 +490,21 @@ def cmd_gen_tree(tree_file, prufer_seq, random_n, path_n, star_n,
 @output_option
 def cmd_enumerate(exhaustive_n, weight, allow_n8, fmt):
     """Stream every labeled tree on N vertices."""
-    cap = MAX_EXHAUSTIVE_N if allow_n8 else DEFAULT_EXHAUSTIVE_CAP
-    if not 2 <= exhaustive_n <= cap:
-        raise click.UsageError(
-            f"--exhaustive supports 2..{cap}"
-            + ("" if allow_n8 else " (use --allow-n8 to raise the cap)")
-        )
+    _check_exhaustive_cap(exhaustive_n, allow_n8)
+    trees = _make_trees(enumerate_trees, exhaustive_n, weight)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["tree", "u", "v", "w"])
-        for idx, t in enumerate(enumerate_trees(exhaustive_n, weight)):
+        for idx, t in enumerate(trees):
             for u, v, w in t.edges:
                 writer.writerow([idx, u, v, w])
         click.echo(buf.getvalue().rstrip("\n"))
     elif fmt == "json":
-        for t in enumerate_trees(exhaustive_n, weight):
+        for t in trees:
             click.echo(json.dumps(tree_to_json_dict(t)))
     else:
-        for t in enumerate_trees(exhaustive_n, weight):
+        for t in trees:
             click.echo(" ".join([str(t.n)] + [f"{u},{v},{w}" for u, v, w in t.edges]))
 
 

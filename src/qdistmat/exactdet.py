@@ -8,6 +8,14 @@ production path; cofactor expansion is the small-order oracle; iterated
         = det(NW minor) det(SE minor) - det(NE minor) det(SW minor)
 
 which also powers check_dodgson_identity.
+
+Bareiss runs in the kernel layer.  The compiled kernel eliminates over
+polynomials in 64-bit words; the pure kernel, which also takes over when
+the compiled one would overflow, substitutes q = 2^B and eliminates over
+the integers.  B is set from the Hadamard bound
+sqrt(prod_i sum_j ||M_ij||_1^2), which by Parseval bounds every
+coefficient of every minor, so the packed integers determine the minors
+exactly and the determinant is read back as signed base-2^B digits.
 """
 
 from __future__ import annotations
@@ -30,7 +38,11 @@ COFACTOR_MAX_ORDER = 6
 
 
 def det_bareiss(m: PolyMatrix) -> Poly:
-    """Exact determinant by fraction-free single-step elimination."""
+    """Exact determinant by fraction-free single-step elimination.
+
+    On the pure backend the elimination runs over the integers after
+    Kronecker substitution (see the module docstring).
+    """
     rows = [[list(e.coeffs) for e in row] for row in m.rows]
     return _make(_kernels.bareiss_det(rows))
 

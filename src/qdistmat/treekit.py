@@ -210,9 +210,12 @@ def enumerate_trees(n: int, weight: int = 1) -> Iterator[WeightedTree]:
     """
     if not 2 <= n <= MAX_EXHAUSTIVE_N:
         raise ValueError(f"exhaustive enumeration supports 2 <= n <= {MAX_EXHAUSTIVE_N}")
+    if weight < 1:
+        raise InvalidTreeError("bad-weight", f"nonpositive weight {weight}")
     uniform = [weight] * (n - 1)
-    for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        yield prufer_decode(seq, n, uniform)
+    # a generator expression, so the checks above run at call time
+    return (prufer_decode(seq, n, uniform)
+            for seq in itertools.product(range(1, n + 1), repeat=n - 2))
 
 
 def random_tree(n: int, max_weight: int, seed: int) -> WeightedTree:
@@ -234,15 +237,23 @@ def random_tree(n: int, max_weight: int, seed: int) -> WeightedTree:
 def random_trees(
     count: int, n_min: int, n_max: int, max_weight: int, seed: int
 ) -> Iterator[WeightedTree]:
-    """Stream of independent random trees with n uniform in [n_min, n_max]."""
+    """Stream of independent random trees with n uniform in [n_min, n_max].
+
+    The parameters are checked at call time, before the first tree.
+    """
+    if not 2 <= n_min <= n_max:
+        raise ValueError("random trees need 2 <= n_min <= n_max")
+    if max_weight < 1:
+        raise ValueError("max_weight must be >= 1")
     rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(n_min, n_max)
-        yield random_tree(n, max_weight, rng.getrandbits(63))
+    return (random_tree(rng.randint(n_min, n_max), max_weight, rng.getrandbits(63))
+            for _ in range(count))
 
 
 def path_tree(n: int, weights: Sequence[int]) -> WeightedTree:
     """Path v_1 - v_2 - ... - v_n with weights in path order."""
+    if n < 1:
+        raise InvalidTreeError("label-range", f"a path needs n >= 1 vertices, got {n}")
     weights = list(weights)
     if len(weights) != n - 1:
         raise InvalidTreeError("edge-count", f"need {n - 1} weights, got {len(weights)}")
@@ -251,6 +262,8 @@ def path_tree(n: int, weights: Sequence[int]) -> WeightedTree:
 
 def star_tree(n: int, weights: Sequence[int]) -> WeightedTree:
     """Star with center v_n and pendants v_1..v_(n-1); edge i carries weights[i-1]."""
+    if n < 1:
+        raise InvalidTreeError("label-range", f"a star needs n >= 1 vertices, got {n}")
     weights = list(weights)
     if len(weights) != n - 1:
         raise InvalidTreeError("edge-count", f"need {n - 1} weights, got {len(weights)}")

@@ -69,6 +69,42 @@ def test_det_rejects_cycle_file(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--random", "5", "--max-weight", "0"],
+    ["det", "--random", "3", "--max-weight", "0"],
+    ["gen-tree", "--random", "1"],
+    ["wiener", "--random", "1"],
+    ["verify", "--exhaustive", "3", "--weight", "0"],
+    ["enumerate", "--exhaustive", "3", "--weight", "0"],
+    ["det", "--path", "0"],
+    ["det", "--star", "0"],
+])
+def test_bad_tree_input_exits_2(runner, args):
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_det_empty_path_names_vertex_bound(runner):
+    for source in ("--path", "--star"):
+        result = runner.invoke(cli.main, ["det", source, "0"])
+        assert "n >= 1" in result.stderr
+        assert "weights" not in result.stderr
+
+
+def test_exhaustive_cap_message_shared(runner):
+    for cmd in ("verify", "enumerate"):
+        result = runner.invoke(cli.main, [cmd, "--exhaustive", "9"])
+        assert result.exit_code == 2
+        assert "--exhaustive supports 2..7 (use --allow-n8 to raise the cap)" in result.stderr
+        result = runner.invoke(cli.main, [cmd, "--exhaustive", "9", "--allow-n8"])
+        assert result.exit_code == 2
+        assert "--exhaustive supports 2..8" in result.stderr
+        assert "--allow-n8 to raise" not in result.stderr
+
+
 def test_det_requires_one_source(runner):
     assert runner.invoke(cli.main, ["det"]).exit_code == 2
     assert runner.invoke(cli.main, ["det", "--path", "3", "--star", "4"]).exit_code == 2

@@ -12,9 +12,17 @@ from qdistmat.exactdet import (
     det_cofactor,
     dodgson,
 )
+from qdistmat import closedforms
 from qdistmat.polyring import Poly, qbracket
-from qdistmat.qmatrix import PolyMatrix, build_d, build_dq, build_dq_star, minor
-from qdistmat.treekit import from_edges, path_tree, random_tree
+from qdistmat.qmatrix import (
+    PolyMatrix,
+    build_d,
+    build_d_plus_xJ,
+    build_dq,
+    build_dq_star,
+    minor,
+)
+from qdistmat.treekit import from_edges, path_tree, random_tree, star_tree
 
 
 def ints(rows):
@@ -134,6 +142,15 @@ def test_bareiss_big_coefficients_fall_back_exactly():
     got = det_bareiss(m)
     want = det_cofactor(m)
     assert got == want
+
+
+@pytest.mark.parametrize("shape", [path_tree, star_tree])
+def test_bareiss_closed_forms_n20(shape):
+    ws = [1 + (7 * i) % 4 for i in range(19)]
+    t = shape(20, ws)
+    assert det_bareiss(build_dq(t)) == closedforms.dq_closed(ws)
+    assert det_bareiss(build_dq_star(t)) == closedforms.dq_star_closed(ws)
+    assert det_bareiss(build_d_plus_xJ(t)) == closedforms.bkn_det_xj(ws)
 
 
 def test_recurrence_16():

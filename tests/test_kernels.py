@@ -1,10 +1,14 @@
-"""Backend parity: the compiled kernels must match the pure ones exactly."""
+"""Kernels: backend parity, and the pure Bareiss kernel against independent routes."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from qdistmat._kernels import BACKEND, _speedups, pure
+from qdistmat.exactdet import det_cofactor
+from qdistmat.polyring import Poly
+from qdistmat.qmatrix import PolyMatrix
 
 needs_compiled = pytest.mark.skipif(
     _speedups is None, reason="compiled kernels not built"
@@ -116,3 +120,77 @@ def test_pure_bareiss_rejects_bad_shapes():
         pure.bareiss_det([])
     with pytest.raises(ValueError):
         pure.bareiss_det([[[1]], [[1], [2]]])
+
+
+# -- pure bareiss_det: Kronecker substitution against independent routes ----
+
+
+def cofactor_det(rows):
+    m = PolyMatrix([[Poly(e) for e in row] for row in rows])
+    return list(det_cofactor(m).coeffs)
+
+
+def test_pure_bareiss_matches_cofactor():
+    rng = random.Random(6)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[canon(rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(0, 11)))
+                 for _ in range(n)] for _ in range(n)]
+        assert pure.bareiss_det(rows) == cofactor_det(rows), rows
+
+
+def sylvester(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def fraction_det(a):
+    # Gaussian elimination over the rationals: an independent integer route
+    a = [[Fraction(x) for x in row] for row in a]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(det)
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_pure_bareiss_at_hadamard_bound(order):
+    # |det| of a +-1 Hadamard matrix is order^(order/2), exactly the
+    # Hadamard bound the packing width is derived from
+    h = sylvester(order)
+    want = fraction_det(h)
+    assert abs(want) == order ** (order // 2)
+    assert pure.bareiss_det([[[x] for x in row] for row in h]) == [want]
+    # +-q^(r_i + c_j) scales det by q^(sum r + sum c), coefficient unchanged
+    rng = random.Random(order)
+    r = [rng.randint(0, 3) for _ in range(order)]
+    c = [rng.randint(0, 3) for _ in range(order)]
+    rows = [[[0] * (r[i] + c[j]) + [h[i][j]] for j in range(order)] for i in range(order)]
+    assert pure.bareiss_det(rows) == [0] * (sum(r) + sum(c)) + [want]
+    if order <= 6:
+        assert pure.bareiss_det(rows) == cofactor_det(rows)
+
+
+@pytest.mark.parametrize("rows, det", [
+    ([[[1, 2], [3]], [[], []]], []),  # zero row
+    ([[[1], [2], [3]], [[2], [4], [6]], [[1], [], [1]]], []),  # pivot row dies
+    ([[[1], [1, 1]], [[1, 1], [1, 2, 1]]], []),  # rank one over Z[q]
+    ([[[3, -1]]], [3, -1]),
+    ([[[]]], []),
+    ([[[], [1, 1]], [[2], [0, 3]]], [-2, -2]),  # zero first pivot: column swap
+    ([[[], [1], [2]], [[1], [], [1]], [[2], [1], []]], [4]),
+])
+def test_pure_bareiss_edge_cases(rows, det):
+    assert pure.bareiss_det(rows) == det
+    assert cofactor_det(rows) == det
