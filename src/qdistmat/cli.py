@@ -2,7 +2,9 @@
 
 Subcommands: det (determinants vs. closed forms for one tree), verify
 (identity sweeps over exhaustive or random tree corpora), perm-table
-(signed permutation statistics), wiener, gen-tree, and enumerate.
+(signed permutation statistics), wiener, gen-tree, and enumerate.  The
+identities that det and verify check live in ``qdistmat.identities``;
+this module parses arguments, resolves trees and formats results.
 
 Exit status contract: 0 all checks passed, 1 a mathematical identity
 failed, 2 invalid input or usage.  All randomness flows from --seed, so
@@ -16,22 +18,18 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import click
 
-from . import closedforms, permlab, wiener
+from . import permlab, wiener
 from ._kernels import BACKEND
-from .exactdet import check_dodgson_identity, det_bareiss
-from .polyring import Poly, qbracket
-from .qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star, minor
+from .identities import det_checks, identity_suite
 from .treekit import (
     MAX_EXHAUSTIVE_N,
     WeightedTree,
     enumerate_trees,
     load_tree,
     path_tree,
-    pendant_first_last,
     prufer_decode,
     random_tree,
     random_trees,
@@ -168,34 +166,13 @@ def emit_csv(header, rows):
     click.echo(buf.getvalue().rstrip("\n"))
 
 
-# -- det -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DetCheck:
-    name: str
-    determinant: Poly
-    closed: Poly
-
-    @property
-    def passed(self) -> bool:
-        return self.determinant == self.closed
-
-
-def det_checks(t: WeightedTree) -> list[DetCheck]:
-    ws = t.weights
-    return [
-        DetCheck("D", det_bareiss(build_d(t)), Poly([closedforms.bkn_det(ws)])),
-        DetCheck("D+xJ", det_bareiss(build_d_plus_xJ(t)), closedforms.bkn_det_xj(ws)),
-        DetCheck("Dq*", det_bareiss(build_dq_star(t)), closedforms.dq_star_closed(ws)),
-        DetCheck("Dq", det_bareiss(build_dq(t)), closedforms.dq_closed(ws)),
-    ]
-
-
 @click.group()
 @click.version_option(package_name="qdistmat")
 def main():
     """Exact q-distance matrices of weighted trees."""
+
+
+# -- det -------------------------------------------------------------------
 
 
 @main.command("det")
@@ -236,70 +213,27 @@ def cmd_det(t, fmt):
 # -- verify ----------------------------------------------------------------
 
 
-def identity_suite(t: WeightedTree) -> list[tuple[str, bool]]:
-    """Every executable identity for one tree; (name, passed) pairs."""
-    ws = t.weights
-    n = t.n
-    results = [(f"det({c.name})==closed", c.passed) for c in det_checks(t)]
-    if t.is_simple():
-        results.append(
-            ("graham_pollak", det_bareiss(build_d(t)) == Poly([closedforms.graham_pollak(n)]))
-        )
-        results.append(
-            ("dq_simple", det_bareiss(build_dq(t)) == closedforms.dq_simple(n))
-        )
-        results.append(
-            ("dq_star_simple", det_bareiss(build_dq_star(t)) == closedforms.dq_star_simple(n))
-        )
-    if n >= 3:
-        results.append(("dodgson_identity", check_dodgson_identity(build_dq(t))))
-        tt = pendant_first_last(t, seed=n)
-        dq = build_dq(tt)
-        first = next(w for (u, v, w) in tt.edges if 1 in (u, v))
-        last = next(w for (u, v, w) in tt.edges if n in (u, v))
-        rest = [w for (u, v, w) in tt.edges if 1 not in (u, v) and n not in (u, v)]
-        corner = det_bareiss(minor(dq, {1}, {n}))
-        results.append(
-            ("corner_minor", corner == closedforms.corner_minor_closed(first, last, rest))
-        )
-        if n >= 4:
-            lhs = (
-                det_bareiss(dq)
-                + qbracket(2 * first) * det_bareiss(minor(dq, {1}, {1}))
-                + qbracket(2 * last) * det_bareiss(minor(dq, {n}, {n}))
-                + qbracket(2 * first) * qbracket(2 * last) * det_bareiss(minor(dq, {1, n}, {1, n}))
-            )
-            results.append(("recurrence16", not lhs))
-    if n <= 8:
-        report = permlab.generating_function_check(t)
-        results.append(("genfun_N", report.n_ok))
-        results.append(("genfun_M", report.m_ok))
-    return results
-
-
 def _run_verify_corpus(trees, check_structure_independence):
     checks = 0
     failures = []
-    det_profiles = {}
+    first_profiles = {}  # weight multiset -> profile of the first tree with it
+    mismatches = {}  # weight multiset -> first tree whose profile differs
     count = 0
     for t in trees:
         count += 1
-        for name, ok in identity_suite(t):
+        results, profile = identity_suite(t)
+        for name, ok in results:
             checks += 1
             if not ok:
                 failures.append({"tree": tree_to_json_dict(t), "check": name})
         if check_structure_independence:
             key = (t.n, tuple(sorted(t.weights)))
-            profile = tuple(
-                det_bareiss(b(t)).coeffs
-                for b in (build_d, build_dq, build_dq_star, build_d_plus_xJ)
-            )
-            det_profiles.setdefault(key, set()).add(profile)
-    indep_ok = all(len(v) == 1 for v in det_profiles.values())
+            if first_profiles.setdefault(key, profile) != profile:
+                mismatches.setdefault(key, t)
     if check_structure_independence:
-        checks += len(det_profiles)
-        if not indep_ok:
-            failures.append({"tree": None, "check": "structure_independence"})
+        checks += len(first_profiles)
+        failures.extend({"tree": tree_to_json_dict(t), "check": "structure_independence"}
+                        for t in mismatches.values())
     return count, checks, failures
 
 

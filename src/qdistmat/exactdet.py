@@ -31,6 +31,7 @@ __all__ = [
     "det_cofactor",
     "dodgson",
     "check_dodgson_identity",
+    "minor_det",
     "COFACTOR_MAX_ORDER",
 ]
 
@@ -98,16 +99,36 @@ def dodgson(m: PolyMatrix) -> Optional[Poly]:
     return cur[0][0]
 
 
-def check_dodgson_identity(m: PolyMatrix) -> bool:
+def minor_det(m: PolyMatrix, rows: tuple[int, ...], cols: tuple[int, ...],
+              dets: dict) -> Poly:
+    """Determinant of m with the 1-based rows and cols deleted (none: m itself).
+
+    ``dets`` holds the determinants already taken on minors of this one
+    matrix, keyed by (rows, cols) as sorted tuples; a minor found there is
+    not recomputed, and a new one is added.
+    """
+    key = (tuple(sorted(rows)), tuple(sorted(cols)))
+    if key not in dets:
+        dets[key] = det_bareiss(minor(m, rows, cols) if rows or cols else m)
+    return dets[key]
+
+
+def check_dodgson_identity(m: PolyMatrix, dets: Optional[dict] = None) -> bool:
     """Evaluate both sides of the condensation identity on a full matrix.
 
-    Uses Bareiss determinants of the five minors; order must be at least 3.
+    Uses Bareiss determinants of the matrix and five minors; order must be
+    at least 3.  ``dets``, as in ``minor_det``, lets a caller share these
+    determinants with other identities on the same matrix.
     """
     n = m.n
     if n < 3:
         raise ValueError("identity check needs order >= 3")
-    lhs = det_bareiss(m) * det_bareiss(minor(m, {1, n}, {1, n}))
-    rhs = det_bareiss(minor(m, {1}, {1})) * det_bareiss(minor(m, {n}, {n})) - det_bareiss(
-        minor(m, {1}, {n})
-    ) * det_bareiss(minor(m, {n}, {1}))
+    if dets is None:
+        dets = {}
+
+    def det(rows, cols):
+        return minor_det(m, rows, cols, dets)
+
+    lhs = det((), ()) * det((1, n), (1, n))
+    rhs = det((1,), (1,)) * det((n,), (n,)) - det((1,), (n,)) * det((n,), (1,))
     return lhs == rhs

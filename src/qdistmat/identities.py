@@ -1,0 +1,94 @@
+"""The identity suite: every executable identity of the paper, for one tree.
+
+Each tree's four matrices D, D + xJ, D*_q and D_q are built once and each
+of their determinants is taken once; every check compares values already
+in hand.  The suite checks
+
+- the four determinants against their closed forms (Bapat-Kirkland-Neumann
+  for D and D + xJ, the product forms for D*_q and D_q);
+- on unit-weight trees, Graham-Pollak and the two simple-tree corollaries;
+- from n = 3, the condensation identity on D_q and the corner-minor
+  formula, and from n = 4 the four-term recurrence, on D_q of the tree
+  relabelled so that v_1 and v_n are pendant;
+- up to n = 8, the generating-function identities: the brute-force
+  permutation tables N and M against det D*_q and det D_q.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import closedforms, permlab
+from .exactdet import check_dodgson_identity, det_bareiss, minor_det
+from .polyring import Poly, qbracket
+from .qmatrix import PolyMatrix, build_d, build_d_plus_xJ, build_dq, build_dq_star
+from .treekit import WeightedTree, pendant_first_last
+
+__all__ = ["DetCheck", "det_checks", "identity_suite"]
+
+
+@dataclass(frozen=True)
+class DetCheck:
+    name: str
+    matrix: PolyMatrix
+    determinant: Poly
+    closed: Poly
+
+    @property
+    def passed(self) -> bool:
+        return self.determinant == self.closed
+
+
+def det_checks(t: WeightedTree) -> list[DetCheck]:
+    """Each matrix's determinant against its closed form: D, D+xJ, Dq*, Dq."""
+    ws = t.weights
+    d, dxj, dq_star, dq = build_d(t), build_d_plus_xJ(t), build_dq_star(t), build_dq(t)
+    return [
+        DetCheck("D", d, det_bareiss(d), Poly([closedforms.bkn_det(ws)])),
+        DetCheck("D+xJ", dxj, det_bareiss(dxj), closedforms.bkn_det_xj(ws)),
+        DetCheck("Dq*", dq_star, det_bareiss(dq_star), closedforms.dq_star_closed(ws)),
+        DetCheck("Dq", dq, det_bareiss(dq), closedforms.dq_closed(ws)),
+    ]
+
+
+def identity_suite(t: WeightedTree) -> tuple[list[tuple[str, bool]], tuple[Poly, ...]]:
+    """Every executable identity for one tree.
+
+    Returns the (name, passed) pairs in a fixed order, and the determinant
+    profile (det D, det D_q, det D*_q, det(D + xJ)), which depends only on
+    the weight multiset if the paper's main results hold.
+    """
+    n = t.n
+    checks = det_checks(t)
+    det_d, det_dxj, det_dq_star, det_dq = (c.determinant for c in checks)
+    results = [(f"det({c.name})==closed", c.passed) for c in checks]
+    if t.is_simple():
+        results.append(("graham_pollak", det_d == Poly([closedforms.graham_pollak(n)])))
+        results.append(("dq_simple", det_dq == closedforms.dq_simple(n)))
+        results.append(("dq_star_simple", det_dq_star == closedforms.dq_star_simple(n)))
+    if n >= 3:
+        dq = checks[3].matrix
+        dets = {((), ()): det_dq}
+        results.append(("dodgson_identity", check_dodgson_identity(dq, dets)))
+        tt = pendant_first_last(t, seed=n)
+        if tt is not t:
+            dq, dets = build_dq(tt), {}
+        first = next(w for (u, v, w) in tt.edges if 1 in (u, v))
+        last = next(w for (u, v, w) in tt.edges if n in (u, v))
+        rest = [w for (u, v, w) in tt.edges if 1 not in (u, v) and n not in (u, v)]
+        corner = minor_det(dq, (1,), (n,), dets)
+        results.append(
+            ("corner_minor", corner == closedforms.corner_minor_closed(first, last, rest))
+        )
+        if n >= 4:
+            lhs = (
+                minor_det(dq, (), (), dets)
+                + qbracket(2 * first) * minor_det(dq, (1,), (1,), dets)
+                + qbracket(2 * last) * minor_det(dq, (n,), (n,), dets)
+                + qbracket(2 * first) * qbracket(2 * last) * minor_det(dq, (1, n), (1, n), dets)
+            )
+            results.append(("recurrence16", not lhs))
+    if n <= 8:
+        results.append(("genfun_N", permlab.n_table_oracle(t).as_poly() == det_dq_star))
+        results.append(("genfun_M", permlab.m_table_oracle(t).as_poly() == det_dq))
+    return results, (det_d, det_dq, det_dq_star, det_dxj)

@@ -43,7 +43,7 @@ class ExactDivisionError(ArithmeticError):
 def _make(coeffs) -> "Poly":
     # trusted constructor: coeffs already canonical, ints only
     p = Poly.__new__(Poly)
-    p.coeffs = tuple(coeffs)
+    object.__setattr__(p, "coeffs", tuple(coeffs))
     return p
 
 

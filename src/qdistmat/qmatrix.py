@@ -53,9 +53,6 @@ class PolyMatrix:
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(tuple(zip(*self.rows)))
 
-    def map_entries(self, f: Callable[[Poly], Poly]) -> "PolyMatrix":
-        return PolyMatrix(tuple(tuple(f(e) for e in row) for row in self.rows))
-
     def eval_int(self, t: int) -> tuple[tuple[int, ...], ...]:
         """Entrywise integer evaluation at t."""
         return tuple(tuple(e.eval_int(t) for e in row) for row in self.rows)

@@ -120,9 +120,6 @@ class WeightedTree:
         """True when every edge weight equals one."""
         return all(w == 1 for w in self.weights)
 
-    def distance_table(self) -> "DistanceTable":
-        return all_pairs_distances(self)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedTree):
             return NotImplemented

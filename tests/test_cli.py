@@ -7,9 +7,9 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from qdistmat import cli
+from qdistmat import cli, identities
 from qdistmat.polyring import Poly
-from qdistmat.treekit import load_tree, random_tree
+from qdistmat.treekit import enumerate_trees, load_tree, random_tree, tree_to_json_dict
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output-schema.json").read_text()
@@ -111,10 +111,34 @@ def test_det_requires_one_source(runner):
 
 
 def test_det_identity_failure_exits_1(runner, monkeypatch):
-    monkeypatch.setattr(cli, "det_bareiss", lambda m: Poly([777]))
+    monkeypatch.setattr(identities, "det_bareiss", lambda m: Poly([777]))
     result = runner.invoke(cli.main, ["det", "--path", "3"])
     assert result.exit_code == 1
     assert "FAIL" in result.output
+
+
+def test_verify_identity_failure_exits_1(runner, monkeypatch):
+    monkeypatch.setattr(identities, "det_bareiss", lambda m: Poly([777]))
+    result = runner.invoke(cli.main, ["verify", "--exhaustive", "4"])
+    assert result.exit_code == 1
+    first = next(enumerate_trees(4))
+    assert f"FAIL det(Dq)==closed on {tree_to_json_dict(first)}" in result.output.splitlines()
+    assert result.output.splitlines()[-1] == "result: FAIL"
+
+
+def test_structure_independence_failure_names_the_tree(runner, monkeypatch):
+    target = list(enumerate_trees(4))[2]
+    real_suite = cli.identity_suite
+
+    def perturbed(t):
+        results, profile = real_suite(t)
+        return results, (profile if t != target else profile[:-1] + (Poly([777]),))
+
+    monkeypatch.setattr(cli, "identity_suite", perturbed)
+    result = runner.invoke(cli.main, ["verify", "--exhaustive", "4"])
+    assert result.exit_code == 1
+    fails = [ln for ln in result.output.splitlines() if ln.startswith("FAIL")]
+    assert fails == [f"FAIL structure_independence on {tree_to_json_dict(target)}"]
 
 
 def test_verify_exhaustive(runner):
