@@ -3,9 +3,11 @@
 
 Workloads mirror the verification sweeps: bracket-matrix determinants,
 permutation-table accumulation, and raw polynomial products.  Run after
-building the extension (pip install -e . --no-build-isolation):
+building the C extension in place (a C compiler and the Python headers are
+needed):
 
-    python benchmarks/bench_kernels.py [--quick]
+    python setup.py build_ext --inplace
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--quick]
 """
 
 import argparse
@@ -50,8 +52,8 @@ def main():
     args = parser.parse_args()
 
     if _speedups is None:
-        print("compiled kernels are not built; install with "
-              "`pip install -e . --no-build-isolation` first")
+        print("compiled kernels are not built; build them with "
+              "`python setup.py build_ext --inplace` first")
         return 1
 
     rng = random.Random(12345)

@@ -1,24 +1,12 @@
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("QDISTMAT_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "qdistmat._kernels._speedups",
-                    ["src/qdistmat/_kernels/_speedups.pyx"],
-                    extra_compile_args=["-O2"],
-                    optional=True,  # build failure degrades to the pure-Python kernels
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+setup(
+    ext_modules=[
+        Extension(
+            "qdistmat._kernels._speedups",
+            ["src/qdistmat/_kernels/_speedups.c"],
+            extra_compile_args=["-O2"],
+            optional=True,  # build failure degrades to the pure-Python kernels
         )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -1,10 +1,12 @@
 """Kernel selection: compiled extension if available, pure Python otherwise.
 
-The compiled module (``_speedups``, built from Cython) accelerates the hot
+The compiled module (``_speedups``, hand-written C against the Python C API,
+built by ``setup.py`` when a C compiler is present) accelerates the hot
 inner loops with machine-word arithmetic and overflow detection; whenever a
 computation cannot be carried out safely in 64-bit words it returns None and
 the pure-Python kernel takes over, so results never depend on which backend
-ran.  Set ``QDISTMAT_PURE=1`` to force the pure backend.
+ran.  Set ``QDISTMAT_PURE=1`` to force the pure backend.  ``poly_exact_div``
+has no compiled version: only Dodgson condensation calls it.
 
 The pure ``bareiss_det`` is a Kronecker-substitution determinant: entries
 are evaluated at q = 2^B, where B is chosen so that 2^(B-1) exceeds the
@@ -38,41 +40,32 @@ __all__ = [
 ]
 
 
-def poly_mul(a, b):
-    if _speedups is not None:
-        r = _speedups.poly_mul(a, b)
-        if r is not None:
-            return r
-    return _pure.poly_mul(a, b)
+def _dispatch(name):
+    """The kernel ``name``: the compiled one's answer, or else the pure one's.
+
+    ``_speedups`` and its attribute are looked up on every call, so a test
+    or a tracer may swap either at run time.
+    """
+    fallback = getattr(_pure, name)
+
+    def kernel(*args):
+        if _speedups is not None:
+            r = getattr(_speedups, name)(*args)
+            if r is not None:
+                return r
+        return fallback(*args)
+
+    kernel.__name__ = kernel.__qualname__ = name
+    kernel.__doc__ = fallback.__doc__
+    return kernel
+
+
+poly_mul = _dispatch("poly_mul")
+bareiss_det = _dispatch("bareiss_det")
+perm_n_table = _dispatch("perm_n_table")
+perm_m_coeffs = _dispatch("perm_m_coeffs")
 
 
 def poly_exact_div(a, b):
-    if _speedups is not None:
-        r = _speedups.poly_exact_div(a, b)
-        if r is not None:
-            return r
+    """Exact quotient of canonical coefficient lists (pure kernel only)."""
     return _pure.poly_exact_div(a, b)
-
-
-def bareiss_det(rows):
-    if _speedups is not None:
-        r = _speedups.bareiss_det(rows)
-        if r is not None:
-            return r
-    return _pure.bareiss_det(rows)
-
-
-def perm_n_table(dist, n):
-    if _speedups is not None:
-        r = _speedups.perm_n_table(dist, n)
-        if r is not None:
-            return r
-    return _pure.perm_n_table(dist, n)
-
-
-def perm_m_coeffs(dist, n):
-    if _speedups is not None:
-        r = _speedups.perm_m_coeffs(dist, n)
-        if r is not None:
-            return r
-    return _pure.perm_m_coeffs(dist, n)

@@ -2,8 +2,10 @@
 
 Coefficient lists are little-endian by degree, hold plain Python ints, and
 are canonical: the last entry is nonzero, the zero polynomial is ``[]``.
-The compiled module in ``_speedups`` implements the same surface with
-machine-word fast paths; results must be identical.
+The compiled module ``_speedups`` (hand-written C) implements
+``poly_mul``, ``bareiss_det``, ``perm_n_table`` and ``perm_m_coeffs`` with
+machine-word fast paths; results must be identical.  ``poly_exact_div`` is
+pure only.
 
 ``bareiss_det`` does not eliminate over polynomials: it packs each entry
 into one integer by Kronecker substitution (q = 2^B, with B from a

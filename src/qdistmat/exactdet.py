@@ -9,7 +9,7 @@ production path; cofactor expansion is the small-order oracle; iterated
 
 which also powers check_dodgson_identity.
 
-Bareiss runs in the kernel layer.  The compiled kernel eliminates over
+Bareiss runs in the kernel layer.  The compiled C kernel eliminates over
 polynomials in 64-bit words; the pure kernel, which also takes over when
 the compiled one would overflow, substitutes q = 2^B and eliminates over
 the integers.  B is set from the Hadamard bound

@@ -52,7 +52,7 @@ class InvalidTreeError(ValueError):
 class WeightedTree:
     """A tree on vertices 1..n with positive integer edge weights."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_dist")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         edges = tuple((int(u), int(v), int(w)) for u, v, w in edges)
@@ -92,6 +92,7 @@ class WeightedTree:
         self.n = n
         self.edges = edges
         self._adj = None
+        self._dist = None
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -268,7 +269,13 @@ def star_tree(n: int, weights: Sequence[int]) -> WeightedTree:
 
 
 def all_pairs_distances(t: WeightedTree) -> DistanceTable:
-    """Exact distances via one traversal per source vertex, O(n^2) total."""
+    """Exact distances via one traversal per source vertex, O(n^2) total.
+
+    The table is computed once per tree and kept on it; later calls return
+    the same (immutable) object.
+    """
+    if t._dist is not None:
+        return t._dist
     adj = t.adjacency()
     n = t.n
     rows = []
@@ -283,7 +290,8 @@ def all_pairs_distances(t: WeightedTree) -> DistanceTable:
                     dist[u] = dv + w
                     stack.append((u, v))
         rows.append(dist[1:])
-    return DistanceTable(rows)
+    t._dist = DistanceTable(rows)
+    return t._dist
 
 
 def relabel(t: WeightedTree, mapping: dict[int, int]) -> WeightedTree:

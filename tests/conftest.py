@@ -1,0 +1,52 @@
+"""Shared fixtures: the compiled kernels, built from source once per test run."""
+
+import importlib.util
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _build_blocker():
+    """Why the extension cannot be built here, or None when it can."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    if shutil.which(cc) is None:
+        return f"no C compiler ({cc}) on PATH"
+    header = os.path.join(sysconfig.get_paths()["include"], "Python.h")
+    if not os.path.exists(header):
+        return f"no Python.h at {header}"
+    return None
+
+
+@pytest.fixture(scope="session")
+def speedups(tmp_path_factory):
+    """``qdistmat._kernels._speedups`` compiled from the checked-in C source.
+
+    It is built with ``setup.py build_ext`` into a temporary directory, so
+    the checkout is left as it was.  Skips only when there is no compiler
+    or no ``Python.h``; any other build failure fails the test.
+    """
+    blocker = _build_blocker()
+    if blocker:
+        pytest.skip(f"compiled kernels not built: {blocker}")
+    out = tmp_path_factory.mktemp("speedups")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out), "--build-temp", str(out / "temp")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    path = out / "qdistmat" / "_kernels" / f"_speedups{suffix}"
+    if proc.returncode or not path.exists():
+        pytest.fail(f"building the extension failed:\n{proc.stdout}\n{proc.stderr}")
+    spec = importlib.util.spec_from_file_location("qdistmat._kernels._speedups", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -126,7 +126,8 @@ def test_verify_identity_failure_exits_1(runner, monkeypatch):
     assert result.output.splitlines()[-1] == "result: FAIL"
 
 
-def test_structure_independence_failure_names_the_tree(runner, monkeypatch):
+@pytest.mark.parametrize("output", ["plain", "json"])
+def test_structure_independence_failure_names_the_tree(runner, monkeypatch, output):
     target = list(enumerate_trees(4))[2]
     real_suite = cli.identity_suite
 
@@ -135,10 +136,17 @@ def test_structure_independence_failure_names_the_tree(runner, monkeypatch):
         return results, (profile if t != target else profile[:-1] + (Poly([777]),))
 
     monkeypatch.setattr(cli, "identity_suite", perturbed)
-    result = runner.invoke(cli.main, ["verify", "--exhaustive", "4"])
+    result = runner.invoke(cli.main, ["verify", "--exhaustive", "4", "--output", output])
     assert result.exit_code == 1
-    fails = [ln for ln in result.output.splitlines() if ln.startswith("FAIL")]
-    assert fails == [f"FAIL structure_independence on {tree_to_json_dict(target)}"]
+    if output == "json":
+        payload = validated_json(result)
+        assert payload["pass"] is False
+        assert payload["failures"] == [
+            {"tree": tree_to_json_dict(target), "check": "structure_independence"}
+        ]
+    else:
+        fails = [ln for ln in result.output.splitlines() if ln.startswith("FAIL")]
+        assert fails == [f"FAIL structure_independence on {tree_to_json_dict(target)}"]
 
 
 def test_verify_exhaustive(runner):

@@ -1,18 +1,25 @@
-"""Kernels: backend parity, and the pure Bareiss kernel against independent routes."""
+"""Kernels: backend parity, the dispatcher, and the pure Bareiss kernel
+against independent routes.
+
+The compiled tests take the ``speedups`` fixture (``conftest.py``), which
+builds the extension from source once per test run.
+"""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from qdistmat._kernels import BACKEND, _speedups, pure
+from qdistmat import _kernels
+from qdistmat._kernels import BACKEND, pure
 from qdistmat.exactdet import det_cofactor
+from qdistmat.identities import identity_suite
 from qdistmat.polyring import Poly
 from qdistmat.qmatrix import PolyMatrix
+from qdistmat.treekit import path_tree, random_tree, star_tree
 
-needs_compiled = pytest.mark.skipif(
-    _speedups is None, reason="compiled kernels not built"
-)
+COMPILED = ("poly_mul", "bareiss_det", "perm_n_table", "perm_m_coeffs")
 
 
 def canon(items):
@@ -30,82 +37,106 @@ def test_backend_reported():
     assert BACKEND in ("compiled", "pure")
 
 
-@needs_compiled
-def test_poly_mul_parity():
+def test_poly_mul_parity(speedups):
     rng = random.Random(1)
     for _ in range(1000):
         a, b = random_coeffs(rng), random_coeffs(rng)
-        assert _speedups.poly_mul(a, b) == pure.poly_mul(a, b), (a, b)
+        assert speedups.poly_mul(a, b) == pure.poly_mul(a, b), (a, b)
 
 
-@needs_compiled
-def test_poly_mul_overflow_falls_back():
+def test_poly_mul_overflow_falls_back(speedups):
     big = [2 ** 62, 1]
-    assert _speedups.poly_mul(big, big) is None
+    assert speedups.poly_mul(big, big) is None
     assert pure.poly_mul(big, big) == [2 ** 124, 2 ** 63, 1]
 
 
-@needs_compiled
-def test_exact_div_parity():
-    rng = random.Random(2)
-    for _ in range(1000):
-        c = random_coeffs(rng, 6, 9)
-        b = random_coeffs(rng, 4, 9)
-        if not b:
-            continue
-        a = pure.poly_mul(c, b)
-        assert _speedups.poly_exact_div(a, b) == c
-    with pytest.raises(ZeroDivisionError):
-        _speedups.poly_exact_div([1], [])
-    with pytest.raises(ValueError):
-        _speedups.poly_exact_div([1], [1, 1])
-
-
-@needs_compiled
-def test_exact_div_inexact_returns_none():
-    # inexact division is reported by the pure kernel after fallback
-    assert _speedups.poly_exact_div([1, 1, 1], [1, 1]) is None
-    with pytest.raises(ValueError):
-        pure.poly_exact_div([1, 1, 1], [1, 1])
-
-
-@needs_compiled
-def test_bareiss_parity():
+def test_bareiss_parity(speedups):
     rng = random.Random(3)
     for _ in range(400):
         n = rng.randint(1, 6)
         rows = [[random_coeffs(rng, 3, 9) for _ in range(n)] for _ in range(n)]
-        assert _speedups.bareiss_det(rows) == pure.bareiss_det(rows)
+        assert speedups.bareiss_det(rows) == pure.bareiss_det(rows)
 
 
-@needs_compiled
-def test_bareiss_overflow_falls_back():
+def test_bareiss_overflow_falls_back(speedups):
     big = 10 ** 25
     rows = [[[big], [1]], [[1], [big]]]
-    assert _speedups.bareiss_det(rows) is None
+    assert speedups.bareiss_det(rows) is None
     assert pure.bareiss_det(rows) == [big * big - 1]
 
 
-@needs_compiled
-def test_perm_table_parity():
+def test_bareiss_unnegatable_determinant_falls_back(speedups):
+    # a column swap negates a final pivot of -2^63, which has no 64-bit negation
+    rows = [[[0], [-2 ** 62]], [[2], [5]]]
+    assert speedups.bareiss_det(rows) is None
+    assert pure.bareiss_det(rows) == [2 ** 63]
+
+
+def test_bareiss_rejects_bad_shapes(speedups):
+    with pytest.raises(ValueError):
+        speedups.bareiss_det([])
+    with pytest.raises(ValueError):
+        speedups.bareiss_det([[[1]], [[1], [2]]])
+
+
+def test_perm_table_parity(speedups):
     rng = random.Random(4)
     for _ in range(60):
         n = rng.randint(1, 6)
         dist = [[rng.randint(0, 6) for _ in range(n)] for _ in range(n)]
-        assert _speedups.perm_n_table(dist, n) == pure.perm_n_table(dist, n)
-        assert _speedups.perm_m_coeffs(dist, n) == pure.perm_m_coeffs(dist, n)
+        assert speedups.perm_n_table(dist, n) == pure.perm_n_table(dist, n)
+        assert speedups.perm_m_coeffs(dist, n) == pure.perm_m_coeffs(dist, n)
     for _ in range(30):
         n = rng.randint(1, 5)
         dist = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert _speedups.perm_n_table(dist, n) == pure.perm_n_table(dist, n)
+        assert speedups.perm_n_table(dist, n) == pure.perm_n_table(dist, n)
 
 
-@needs_compiled
-def test_perm_m_bound_guard():
+def test_perm_m_bound_guard(speedups):
     # distances this large make the coefficient buffers unreasonable, so
     # the compiled kernel declines and the pure path takes over
     dist = [[0, 10 ** 9], [10 ** 9, 0]]
-    assert _speedups.perm_m_coeffs(dist, 2) is None
+    assert speedups.perm_m_coeffs(dist, 2) is None
+
+
+def test_perm_short_table_raises(speedups):
+    with pytest.raises(IndexError):
+        speedups.perm_n_table([[0, 1]], 2)
+    with pytest.raises(IndexError):
+        speedups.perm_m_coeffs([[0, 1]], 2)
+
+
+@pytest.mark.parametrize("t", [
+    path_tree(5, [1, 1, 1, 1]),
+    star_tree(4, [2, 1, 3]),
+    random_tree(6, 1, 2),
+    random_tree(7, 4, 3),
+    random_tree(8, 3, 4),
+], ids=["path5", "star4-weighted", "unit6", "weighted7", "weighted8"])
+def test_dispatcher_compiled_matches_pure(monkeypatch, speedups, t):
+    monkeypatch.setattr(_kernels, "_speedups", None)
+    want = identity_suite(t)
+    # count the calls the compiled module answers, rebinding its attributes
+    # the way the benchmark's tracer does
+    answered = Counter()
+    for name in COMPILED:
+        def counted(*args, fn=getattr(speedups, name), name=name):
+            r = fn(*args)
+            answered[name] += r is not None
+            return r
+
+        monkeypatch.setattr(speedups, name, counted)
+    monkeypatch.setattr(_kernels, "_speedups", speedups)
+    assert identity_suite(t) == want
+    assert all(answered[name] for name in COMPILED), answered
+
+
+def test_dispatcher_falls_back_to_pure(monkeypatch, speedups):
+    monkeypatch.setattr(_kernels, "_speedups", speedups)
+    big = 10 ** 25
+    rows = [[[big], [1]], [[1], [big]]]
+    assert speedups.bareiss_det(rows) is None
+    assert _kernels.bareiss_det(rows) == pure.bareiss_det(rows) == [big * big - 1]
 
 
 def test_pure_kernel_division_errors():

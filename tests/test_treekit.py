@@ -136,6 +136,16 @@ def test_distance_examples():
     assert d2.d(1, 3) == 3
 
 
+def test_distances_computed_once_per_tree():
+    t = random_tree(6, 3, 5)
+    d = all_pairs_distances(t)
+    assert all_pairs_distances(t) is d
+    # an equal tree built separately has its own table, with the same rows
+    twin = from_edges(t.n, t.edges)
+    assert all_pairs_distances(twin) is not d
+    assert all_pairs_distances(twin).rows == d.rows
+
+
 def _path_vertices(t, i, j):
     # independent walk: BFS parents from i, then read the i-j path back
     adj = t.adjacency()
