@@ -2,9 +2,12 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Workloads mirror the verification sweeps: bracket-matrix determinants,
-permutation-table accumulation, and raw polynomial products.  Run after
-building the C extension in place (a C compiler and the Python headers are
-needed):
+permutation-table accumulation, and raw polynomial products, plus one
+n = 24 q-distance determinant, where the compiled kernel overflows and
+hands the matrix to the pure one.  Each time is the best of five
+``timeit`` repeats, each repeat long enough for ``Timer.autorange``, per
+call.  Build the C extension in place first (a C compiler and the Python
+headers are needed); without it only the pure column is printed:
 
     python setup.py build_ext --inplace
     PYTHONPATH=src python benchmarks/bench_kernels.py [--quick]
@@ -12,20 +15,23 @@ needed):
 
 import argparse
 import random
-import time
+import timeit
 
-from qdistmat._kernels import _speedups, pure
+from qdistmat import _kernels
+from qdistmat._kernels import pure
 from qdistmat.qmatrix import build_dq
 from qdistmat.treekit import all_pairs_distances, random_tree
 
 
-def best_of(fn, repeat=3):
-    times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+def best_time(fn, repeat=5):
+    """Seconds per call of fn: the best of ``repeat`` autoranged timings."""
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    return min(timer.repeat(repeat=repeat, number=number)) / number
+
+
+def ms(seconds):
+    return f"{seconds * 1e3:.3g}ms"
 
 
 def make_poly_workload(rng, count, deg):
@@ -51,16 +57,12 @@ def main():
     parser.add_argument("--quick", action="store_true", help="smaller workloads")
     args = parser.parse_args()
 
-    if _speedups is None:
-        print("compiled kernels are not built; build them with "
-              "`python setup.py build_ext --inplace` first")
-        return 1
-
     rng = random.Random(12345)
     scale = 0.2 if args.quick else 1.0
 
     poly_pairs = make_poly_workload(rng, int(4000 * scale), 24)
     mats7 = make_matrix_workload(rng, int(150 * scale), 7, 4)
+    dq24 = [[list(e.coeffs) for e in row] for row in build_dq(random_tree(24, 4, 0)).rows]
     dist8 = all_pairs_distances(random_tree(8, 1, 7)).as_lists()
     dist7w = all_pairs_distances(random_tree(7, 4, 9)).as_lists()
 
@@ -69,6 +71,8 @@ def main():
          lambda k: [k.poly_mul(a, b) for a, b in poly_pairs]),
         (f"bareiss_det, {len(mats7)} bracket matrices (n=7, weights<=4)",
          lambda k: [k.bareiss_det(m) for m in mats7]),
+        ("bareiss_det, one bracket matrix (n=24, weights<=4)",
+         lambda k: k.bareiss_det(dq24)),
         ("perm_n_table, n=8 unit tree (40320 perms)",
          lambda k: k.perm_n_table(dist8, 8)),
         ("perm_m_coeffs, n=8 unit tree (40320 perms)",
@@ -77,19 +81,25 @@ def main():
          lambda k: k.perm_m_coeffs(dist7w, 7)),
     ]
 
-    header = f"{'workload':<55} {'compiled':>10} {'pure':>10} {'speedup':>8}"
+    columns = [("pure", pure)]
+    if _kernels.BACKEND == "compiled":
+        # the dispatcher: a matrix the compiled kernel declines is timed
+        # with its pure fallback included
+        columns.insert(0, ("compiled", _kernels))
+    else:
+        print("compiled kernels are not built (`python setup.py build_ext "
+              "--inplace`); timing the pure kernels only")
+    header = f"{'workload':<55}" + "".join(f" {c:>10}" for c, _ in columns)
+    if len(columns) == 2:
+        header += f" {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for name, job in workloads:
-        fast = best_of(lambda: job(_speedups))
-        # sanity: the compiled path must actually handle the workload
-        sample = job(_speedups)
-        assert sample is not None
-        if isinstance(sample, list):
-            assert all(item is not None for item in sample)
-        slow = best_of(lambda: job(pure))
-        print(f"{name:<55} {fast * 1e3:>8.1f}ms {slow * 1e3:>8.1f}ms "
-              f"{slow / fast:>7.1f}x")
+        times = [best_time(lambda: job(k)) for _, k in columns]
+        line = f"{name:<55}" + "".join(f" {ms(t):>10}" for t in times)
+        if len(times) == 2:
+            line += f" {times[1] / times[0]:>7.3g}x"
+        print(line)
     return 0
 
 

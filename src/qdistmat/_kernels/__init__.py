@@ -9,11 +9,13 @@ ran.  Set ``QDISTMAT_PURE=1`` to force the pure backend.  ``poly_exact_div``
 has no compiled version: only Dodgson condensation calls it.
 
 The pure ``bareiss_det`` is a Kronecker-substitution determinant: entries
-are evaluated at q = 2^B, where B is chosen so that 2^(B-1) exceeds the
-Hadamard bound sqrt(prod_i sum_j ||M_ij||_1^2) on every coefficient of
-every minor; one fraction-free integer elimination follows, and the signed
-base-2^B digits of the result are the determinant's coefficients.  See
-``pure.bareiss_det`` for the proof sketch.
+are evaluated at q = 2^b, one fraction-free integer elimination follows,
+and the signed base-2^b digits of the result are read back as the
+determinant's coefficients.  Decoding alone is exact once 2^(b-1) exceeds
+the Hadamard bound sqrt(prod_i sum_j ||M_ij||_1^2) on the coefficients;
+below that width the decoded polynomial is accepted only after it matches
+the determinant at enough small integer points, and b doubles otherwise.
+See ``pure.bareiss_det`` for the proof sketch.
 """
 
 import importlib

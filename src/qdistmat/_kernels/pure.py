@@ -8,14 +8,17 @@ machine-word fast paths; results must be identical.  ``poly_exact_div`` is
 pure only.
 
 ``bareiss_det`` does not eliminate over polynomials: it packs each entry
-into one integer by Kronecker substitution (q = 2^B, with B from a
-Hadamard bound that covers every minor), runs integer Bareiss, and reads
-the coefficients back as signed base-2^B digits, so each elimination step
-is one big-integer multiply-subtract-divide instead of schoolbook
-polynomial products and exact divisions.
+into one integer by Kronecker substitution (q = 2^b), runs integer
+Bareiss, and reads the coefficients back as signed base-2^b digits, so
+each elimination step is one big-integer multiply-subtract-divide instead
+of schoolbook polynomial products and exact divisions.  The width b is
+guessed from det M(1) and the decoded determinant is certified by
+evaluations at small integers, widening b on a mismatch; the Hadamard
+width, at which decoding alone is exact, is the last resort.
 """
 
 import itertools
+import math
 
 __all__ = [
     "poly_mul",
@@ -79,27 +82,36 @@ def poly_exact_div(a, b):
 def bareiss_det(rows):
     """Exact determinant of a square matrix of coefficient lists.
 
-    Kronecker substitution: every entry is evaluated at q = 2^B, one
-    fraction-free Bareiss elimination runs on the resulting integers, and
-    the determinant's coefficients are read back as the signed base-2^B
-    digits of the result.  B comes from a bound on the coefficients of
-    every minor of the matrix:
+    Kronecker substitution: every entry is evaluated at q = 2^b, one
+    fraction-free integer Bareiss elimination (``_int_det``) takes the
+    determinant of the resulting integer matrix, and the determinant's
+    coefficients are read back as the signed base-2^b digits P of the
+    result.  The width that makes this exact comes from the Hadamard bound
 
-        sq = prod_i sum_j ||M_ij||_1^2,   B = (bit_length(sq) + 1) // 2 + 2.
+        sq = prod_i sum_j ||M_ij||_1^2,   hbits = (bit_length(sq) + 1) // 2 + 2.
 
     For |z| = 1, |M_ij(z)| <= ||M_ij||_1, so by Hadamard's inequality
     |det M(z)| <= sqrt(sq); by Parseval every coefficient of det M is at
     most the maximum of |det M(z)| on the unit circle, hence below
-    2^(B-1).  With no zero row each row factor is at least 1, so the same
-    bound covers every minor, and thus every intermediate Bareiss entry
-    (each is a minor, by the Sylvester identity).  A polynomial whose
-    coefficients lie below 2^(B-1) in absolute value is zero exactly when
-    its value at 2^B is, so the zero-pivot tests, and with them the
-    column swaps, are those of elimination over polynomials.  A zero
-    pivot is repaired by swapping in the first column to its right whose
-    entry in the pivot row is nonzero (sign tracked); if the whole pivot
-    row is zero the determinant is zero.  Every division is by the
-    previous pivot and is exact.
+    2^(hbits-1), and the digits at b = hbits are the coefficients.
+
+    That bound is often several times wider than the coefficients, and
+    the elimination's cost grows with the square of the width.  So when
+    hbits exceeds 64 the kernel first decodes at a narrow width
+    b = max(32, bit_length(det M(1)) + 4) and certifies the result: it
+    checks det M(a) == P(a) at a few small odd integers a
+    (``_certified``).  On a mismatch b doubles; from b >= hbits on the
+    kernel decodes at hbits, where decoding alone is exact.
+
+    Why a passing check proves P = det M: R = P - det M vanishes at 2^b
+    and at every checked a, so prod (q - a) divides R in Z[q].  The loop
+    stops once the number of points exceeds max(deg P, sum_i max_j
+    deg M_ij), which bounds deg R, or once the product of the |a| exceeds
+    ||P||_2 + sqrt(sq).  If R were nonzero, Landau's inequality would give
+    prod |a| <= M(R) <= ||R||_2 <= ||P||_2 + ||det M||_2 <= ||P||_2 + sqrt(sq),
+    the last step by Parseval and Hadamard as above.  (Mignotte,
+    *Mathematics for Computer Algebra* 4.4; von zur Gathen & Gerhard,
+    *Modern Computer Algebra* ch. 6.)
     """
     n = len(rows)
     if n == 0:
@@ -111,8 +123,27 @@ def bareiss_det(rows):
         sq *= sum(sum(map(abs, e)) ** 2 for e in row)
     if not sq:  # a zero row
         return []
-    bits = (sq.bit_length() + 1) // 2 + 2
-    m = [[_pack(e, bits) for e in row] for row in rows]
+    hbits = (sq.bit_length() + 1) // 2 + 2
+    if hbits > 64:
+        at_one = _int_det([[sum(e) for e in row] for row in rows])
+        bits = max(32, at_one.bit_length() + 4)
+        while bits < hbits:
+            p = _unpack(_int_det([[_pack(e, bits) for e in row] for row in rows]), bits)
+            if _certified(rows, p, bits, sq):
+                return p
+            bits *= 2
+    return _unpack(_int_det([[_pack(e, hbits) for e in row] for row in rows]), hbits)
+
+
+def _int_det(m):
+    """Determinant of a square integer matrix, by Bareiss elimination in place.
+
+    A zero pivot is repaired by swapping in the first column to its right
+    whose entry in the pivot row is nonzero (sign tracked); if the whole
+    pivot row is zero the determinant is zero.  Every division is by the
+    previous pivot and is exact, whatever the matrix.
+    """
+    n = len(m)
     sign = 1
     prev = 1  # pivot of the previous step; the first step divides by 1
     for k in range(n - 1):
@@ -125,7 +156,7 @@ def bareiss_det(rows):
                     sign = -sign
                     break
             else:
-                return []
+                return 0
         piv = rowk[k]
         for i in range(k + 1, n):
             rowi = m[i]
@@ -133,7 +164,42 @@ def bareiss_det(rows):
             for j in range(k + 1, n):
                 rowi[j] = (piv * rowi[j] - rik * rowk[j]) // prev
         prev = piv
-    return _unpack(sign * m[n - 1][n - 1], bits)
+    return sign * m[n - 1][n - 1]
+
+
+def _certified(rows, p, bits, sq):
+    """Whether p is det M, given that p(2^bits) == det M(2^bits).
+
+    Checks det M(a) == p(a) at the ``_check_points`` until the points,
+    2^bits among them, outnumber the degree bound or their product
+    exceeds isqrt(||p||_2^2) + isqrt(sq) + 2 > ||p||_2 + sqrt(sq); see
+    ``bareiss_det`` for why that suffices.
+    """
+    degree = max(len(p) - 1, sum(max(map(len, row)) - 1 for row in rows))
+    bound = math.isqrt(sum(c * c for c in p)) + math.isqrt(sq) + 2
+    points, prod = 1, 1 << bits
+    for a in _check_points(rows):
+        if points > degree or prod > bound:
+            return True
+        if _int_det([[_eval(e, a) for e in row] for row in rows]) != _eval(p, a):
+            return False
+        points += 1
+        prod *= abs(a)
+
+
+def _check_points(rows):
+    """The points a = 2^s + 1, -(2^s + 1), 2^s + 3, -(2^s + 3), ...
+
+    They are odd, hence distinct from each other and from any 2^b.  s is
+    at least 6 and as large as keeps an evaluated entry near 256 bits,
+    where a big-integer operation still costs about as much as the
+    interpreter's own overhead, so fewer, wider points are cheaper.
+    """
+    a = (1 << max(6, 256 // max(max(map(len, row)) for row in rows))) + 1
+    while True:
+        yield a
+        yield -a
+        a += 2
 
 
 def _pack(coeffs, bits):
@@ -141,6 +207,14 @@ def _pack(coeffs, bits):
     v = 0
     for c in reversed(coeffs):
         v = (v << bits) + c
+    return v
+
+
+def _eval(coeffs, a):
+    # value at q = a, by Horner
+    v = 0
+    for c in reversed(coeffs):
+        v = v * a + c
     return v
 
 

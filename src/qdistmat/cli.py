@@ -39,6 +39,10 @@ from .treekit import (
 )
 
 DEFAULT_EXHAUSTIVE_CAP = 7
+# Matrix entries, the Wiener polynomial and the determinants are dense
+# polynomials whose degrees grow with the total edge weight; far above this
+# cap, building them exhausts memory.
+MAX_TOTAL_WEIGHT = 10_000
 
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
@@ -53,12 +57,25 @@ def _make_trees(factory, *args):
     """Call a tree constructor; a rejected tree or tree parameter exits 2.
 
     ``InvalidTreeError`` is a ``ValueError``, and the random and exhaustive
-    generators raise ``ValueError`` on bad parameters at call time.
+    generators raise ``ValueError`` on bad parameters at call time.  A tree
+    whose total weight exceeds ``MAX_TOTAL_WEIGHT`` is rejected too; for a
+    generator, when the loop reaches it.
     """
     try:
-        return factory(*args)
+        made = factory(*args)
     except ValueError as exc:
         _fail_usage(str(exc))
+    if isinstance(made, WeightedTree):
+        return _weight_capped(made)
+    return map(_weight_capped, made)
+
+
+def _weight_capped(t: WeightedTree) -> WeightedTree:
+    total = sum(t.weights)
+    if total > MAX_TOTAL_WEIGHT:
+        _fail_usage(f"total edge weight {total} exceeds {MAX_TOTAL_WEIGHT} "
+                    "(matrix entries are dense polynomials of that degree)")
+    return t
 
 
 def _check_exhaustive_cap(exhaustive_n: int, allow_n8: bool):
@@ -309,7 +326,7 @@ def cmd_verify(exhaustive_n, trials, trials_alias, n_max, max_weight, seed,
 
 @main.command("perm-table")
 @tree_source_options
-@click.option("--k-max", type=int, default=None,
+@click.option("--k-max", type=click.IntRange(min=0), default=None,
               help="Largest k to report (default: largest nonzero entry).")
 @output_option
 def cmd_perm_table(t, k_max, fmt):

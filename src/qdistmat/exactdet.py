@@ -11,11 +11,13 @@ which also powers check_dodgson_identity.
 
 Bareiss runs in the kernel layer.  The compiled C kernel eliminates over
 polynomials in 64-bit words; the pure kernel, which also takes over when
-the compiled one would overflow, substitutes q = 2^B and eliminates over
-the integers.  B is set from the Hadamard bound
-sqrt(prod_i sum_j ||M_ij||_1^2), which by Parseval bounds every
-coefficient of every minor, so the packed integers determine the minors
-exactly and the determinant is read back as signed base-2^B digits.
+the compiled one would overflow, substitutes q = 2^b, eliminates over the
+integers and reads the determinant back as signed base-2^b digits.  A
+width below the Hadamard bound sqrt(prod_i sum_j ||M_ij||_1^2) is tried
+first and the decoded determinant is certified by evaluations at small
+integers (Landau's inequality bounds how many a wrong one could pass);
+on a mismatch the width doubles, and at the Hadamard width, which by
+Parseval bounds every coefficient, decoding alone is exact.
 """
 
 from __future__ import annotations

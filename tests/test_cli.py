@@ -78,6 +78,9 @@ def test_det_rejects_cycle_file(runner, tmp_path):
     ["enumerate", "--exhaustive", "3", "--weight", "0"],
     ["det", "--path", "0"],
     ["det", "--star", "0"],
+    ["det", "--random", "3", "--max-weight", "100000000000"],
+    ["verify", "--random", "3", "--max-weight", "100000000000"],
+    ["wiener", "--path", "3", "--weights", "6000 5000"],
 ])
 def test_bad_tree_input_exits_2(runner, args):
     result = runner.invoke(cli.main, args)
@@ -92,6 +95,22 @@ def test_det_empty_path_names_vertex_bound(runner):
         result = runner.invoke(cli.main, ["det", source, "0"])
         assert "n >= 1" in result.stderr
         assert "weights" not in result.stderr
+
+
+def test_total_weight_cap(runner):
+    cap = cli.MAX_TOTAL_WEIGHT
+    result = runner.invoke(cli.main, ["gen-tree", "--path", "3", "--weights",
+                                      f"{cap // 2} {cap - cap // 2}"])
+    assert result.exit_code == 0
+    result = runner.invoke(cli.main, ["gen-tree", "--path", "3", "--weights",
+                                      f"{cap // 2} {cap - cap // 2 + 1}"])
+    assert result.exit_code == 2
+    assert f"total edge weight {cap + 1} exceeds {cap}" in result.stderr
+    # a streamed corpus is checked tree by tree, before any output
+    result = runner.invoke(cli.main, ["enumerate", "--exhaustive", "3", "--weight",
+                                      str(cap)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
 
 
 def test_exhaustive_cap_message_shared(runner):
@@ -225,6 +244,13 @@ def test_perm_table_k_max(runner):
     )
     rows = [r for r in result.output.strip().splitlines()[1:]]
     assert all(int(r.split(",")[1]) <= 2 for r in rows)
+
+
+def test_perm_table_rejects_negative_k_max(runner):
+    result = runner.invoke(cli.main, ["perm-table", "--path", "4", "--k-max", "-1"])
+    assert result.exit_code == 2
+    assert "--k-max" in result.stderr
+    assert "PASS" not in result.stdout
 
 
 def test_perm_table_cap(runner):

@@ -5,18 +5,20 @@ The compiled tests take the ``speedups`` fixture (``conftest.py``), which
 builds the extension from source once per test run.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice, zip_longest
 
 import pytest
 
-from qdistmat import _kernels
+from qdistmat import _kernels, closedforms
 from qdistmat._kernels import BACKEND, pure
 from qdistmat.exactdet import det_cofactor
 from qdistmat.identities import identity_suite
 from qdistmat.polyring import Poly
-from qdistmat.qmatrix import PolyMatrix
+from qdistmat.qmatrix import PolyMatrix, build_dq_star
 from qdistmat.treekit import path_tree, random_tree, star_tree
 
 COMPILED = ("poly_mul", "bareiss_det", "perm_n_table", "perm_m_coeffs")
@@ -225,3 +227,88 @@ def test_pure_bareiss_at_hadamard_bound(order):
 def test_pure_bareiss_edge_cases(rows, det):
     assert pure.bareiss_det(rows) == det
     assert cofactor_det(rows) == det
+
+
+# -- pure bareiss_det: narrow decoding, its certificate, and widening ---------
+
+
+def coeff_rows(m):
+    return [[list(e.coeffs) for e in row] for row in m.rows]
+
+
+def scale_first_row(rows, factor):
+    return [[[c * factor for c in e] for e in rows[0]]] + rows[1:]
+
+
+def hadamard_sq(rows):
+    return math.prod(sum(sum(map(abs, e)) ** 2 for e in row) for row in rows)
+
+
+def test_pure_bareiss_widens_after_failed_certificates(monkeypatch):
+    # det D*_q(1) = 0 puts the first width at 32 bits, and the scaled row
+    # puts every coefficient of the determinant past 2^80
+    t = random_tree(22, 4, 5)
+    rows = scale_first_row(coeff_rows(build_dq_star(t)), 2 ** 80)
+    verdicts = []
+
+    def certified(*args, real=pure._certified):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(pure, "_certified", certified)
+    want = [2 ** 80 * c for c in closedforms.dq_star_closed(t.weights).coeffs]
+    assert pure.bareiss_det(rows) == want
+    assert verdicts == [False, False, True]  # 32, 64 and 128 bits
+
+
+def test_pure_bareiss_widening_matches_cofactor():
+    for n in range(2, 7):
+        rows = scale_first_row(coeff_rows(build_dq_star(random_tree(n, 4, n))), 2 ** 80)
+        assert pure.bareiss_det(rows) == cofactor_det(rows), n
+    rng = random.Random(9)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = [[random_coeffs(rng, 4, 30) for _ in range(n)] for _ in range(n)]
+        # a first row divisible by q - 1 makes det M(1) = 0 as well
+        rows[0] = [pure.poly_mul(e, [-2 ** 80, 2 ** 80]) for e in rows[0]]
+        assert pure.bareiss_det(rows) == cofactor_det(rows), rows
+
+
+def forged(p, roots):
+    # p + prod (q - r): equal to p exactly at the roots
+    r = [1]
+    for x in roots:
+        r = pure.poly_mul(r, [-x, 1])
+    return canon(a + b for a, b in zip_longest(p, r, fillvalue=0))
+
+
+def test_certificate_needs_more_points_than_the_degree():
+    # linear entries bound deg det by 3; a forgery of degree k + 1 that
+    # agrees at 2^32 and the first k check points must meet point k + 1
+    rows = [[[1, 2], [3, -1], [0, 1]], [[2], [1, 1], [5]], [[-1, 1], [4], [2, 3]]]
+    p, sq = cofactor_det(rows), hadamard_sq(rows)
+    assert pure._certified(rows, p, 32, sq)
+    for k in (2, 3):  # a quartic forgery: the count follows deg p, not 3
+        bad = forged(p, [2 ** 32, *islice(pure._check_points(rows), k)])
+        assert len(bad) - 1 == k + 1
+        assert not pure._certified(rows, bad, 32, sq)
+
+
+def test_certificate_needs_a_product_above_the_norm_bound():
+    # entries of degree 12 leave the degree bound far off, so the product
+    # of the points ends the checks; a forgery that agrees at 2^32 and the
+    # first three check points must meet the fourth
+    rng = random.Random(12)
+    rows = [[[rng.randint(-30, 30) for _ in range(12)] + [1] for _ in range(3)]
+            for _ in range(3)]
+    p, sq = cofactor_det(rows), hadamard_sq(rows)
+    bad = forged(p, [2 ** 32, *islice(pure._check_points(rows), 3)])
+    assert pure._certified(rows, p, 32, sq)
+    assert not pure._certified(rows, bad, 32, sq)
+
+
+def test_check_points_are_distinct_odd_integers():
+    for rows in ([[[1]]], [[[1, 1]]], [[[0] * 40 + [1]]]):
+        pts = list(islice(pure._check_points(rows), 50))
+        assert len(set(pts)) == 50
+        assert all(a % 2 and abs(a) > 64 for a in pts)
