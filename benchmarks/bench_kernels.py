@@ -6,8 +6,11 @@ permutation-table accumulation, and raw polynomial products, plus one
 n = 24 q-distance determinant, where the compiled kernel overflows and
 hands the matrix to the pure one.  Each time is the best of five
 ``timeit`` repeats, each repeat long enough for ``Timer.autorange``, per
-call.  Build the C extension in place first (a C compiler and the Python
-headers are needed); without it only the pure column is printed:
+call; a workload so slow that a repeat is a single call takes the best of
+nine.  The kernels read matrices and distance tables as the package
+stores them, rows of coefficient tuples and rows of ints.  Build the C
+extension in place first (a C compiler and the Python headers are
+needed); without it only the pure column is printed:
 
     python setup.py build_ext --inplace
     PYTHONPATH=src python benchmarks/bench_kernels.py [--quick]
@@ -24,9 +27,15 @@ from qdistmat.treekit import all_pairs_distances, random_tree
 
 
 def best_time(fn, repeat=5):
-    """Seconds per call of fn: the best of ``repeat`` autoranged timings."""
+    """Seconds per call of fn: the best of ``repeat`` autoranged timings.
+
+    When one call fills a repeat, a single slow call decides that repeat,
+    so at least nine are taken.
+    """
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
+    if number == 1:
+        repeat = max(repeat, 9)
     return min(timer.repeat(repeat=repeat, number=number)) / number
 
 
@@ -44,12 +53,8 @@ def make_poly_workload(rng, count, deg):
 
 
 def make_matrix_workload(rng, count, n, max_weight):
-    mats = []
-    for _ in range(count):
-        t = random_tree(n, max_weight, rng.getrandbits(63))
-        m = build_dq(t)
-        mats.append([[list(e.coeffs) for e in row] for row in m.rows])
-    return mats
+    return [build_dq(random_tree(n, max_weight, rng.getrandbits(63))).rows
+            for _ in range(count)]
 
 
 def main():
@@ -62,9 +67,9 @@ def main():
 
     poly_pairs = make_poly_workload(rng, int(4000 * scale), 24)
     mats7 = make_matrix_workload(rng, int(150 * scale), 7, 4)
-    dq24 = [[list(e.coeffs) for e in row] for row in build_dq(random_tree(24, 4, 0)).rows]
-    dist8 = all_pairs_distances(random_tree(8, 1, 7)).as_lists()
-    dist7w = all_pairs_distances(random_tree(7, 4, 9)).as_lists()
+    dq24 = build_dq(random_tree(24, 4, 0)).rows
+    dist8 = all_pairs_distances(random_tree(8, 1, 7)).rows
+    dist7w = all_pairs_distances(random_tree(7, 4, 9)).rows
 
     workloads = [
         (f"poly_mul, {len(poly_pairs)} products of degree-24 polys",

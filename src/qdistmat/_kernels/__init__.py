@@ -69,5 +69,5 @@ perm_m_coeffs = _dispatch("perm_m_coeffs")
 
 
 def poly_exact_div(a, b):
-    """Exact quotient of canonical coefficient lists (pure kernel only)."""
+    """Exact quotient of canonical coefficient sequences (pure kernel only)."""
     return _pure.poly_exact_div(a, b)

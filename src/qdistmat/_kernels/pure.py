@@ -1,7 +1,8 @@
 """Pure-Python implementations of the hot kernels.
 
-Coefficient lists are little-endian by degree, hold plain Python ints, and
-are canonical: the last entry is nonzero, the zero polynomial is ``[]``.
+Kernel inputs are coefficient sequences (lists or tuples, never modified):
+little-endian by degree, plain Python ints, and canonical, so the last
+entry is nonzero and the zero polynomial is empty.  Results are lists.
 The compiled module ``_speedups`` (hand-written C) implements
 ``poly_mul``, ``bareiss_det``, ``perm_n_table`` and ``perm_m_coeffs`` with
 machine-word fast paths; results must be identical.  ``poly_exact_div`` is
@@ -38,7 +39,7 @@ def _trim(coeffs):
 
 
 def poly_mul(a, b):
-    """Convolution product of two canonical coefficient lists."""
+    """Convolution product of two canonical coefficient sequences."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -80,7 +81,7 @@ def poly_exact_div(a, b):
 
 
 def bareiss_det(rows):
-    """Exact determinant of a square matrix of coefficient lists.
+    """Exact determinant of a square matrix of coefficient sequences.
 
     Kronecker substitution: every entry is evaluated at q = 2^b, one
     fraction-free integer Bareiss elimination (``_int_det``) takes the
@@ -97,7 +98,9 @@ def bareiss_det(rows):
 
     That bound is often several times wider than the coefficients, and
     the elimination's cost grows with the square of the width.  So when
-    hbits exceeds 64 the kernel first decodes at a narrow width
+    hbits exceeds 64 the kernel first takes det M(1); for a matrix of
+    constants (sum_i max_j deg M_ij = 0) that is det M.  Otherwise it
+    decodes at a narrow width
     b = max(32, bit_length(det M(1)) + 4) and certifies the result: it
     checks det M(a) == P(a) at a few small odd integers a
     (``_certified``).  On a mismatch b doubles; from b >= hbits on the
@@ -126,6 +129,8 @@ def bareiss_det(rows):
     hbits = (sq.bit_length() + 1) // 2 + 2
     if hbits > 64:
         at_one = _int_det([[sum(e) for e in row] for row in rows])
+        if all(len(e) < 2 for row in rows for e in row):
+            return [at_one] if at_one else []
         bits = max(32, at_one.bit_length() + 4)
         while bits < hbits:
             p = _unpack(_int_det([[_pack(e, bits) for e in row] for row in rows]), bits)

@@ -48,8 +48,14 @@ EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 
 
+def _echo(message: str, err: bool = False, nl: bool = True):
+    # naming the stream bypasses click's default-stream cache, which maps each
+    # stream to itself and so keeps every buffer stdout was redirected to alive
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _fail_usage(message: str):
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(EXIT_USAGE)
 
 
@@ -172,7 +178,7 @@ output_option = click.option(
 
 
 def emit_json(payload: dict):
-    click.echo(json.dumps(payload, indent=2))
+    _echo(json.dumps(payload, indent=2))
 
 
 def emit_csv(header, rows):
@@ -180,7 +186,7 @@ def emit_csv(header, rows):
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    click.echo(buf.getvalue().rstrip("\n"))
+    _echo(buf.getvalue().rstrip("\n"))
 
 
 @click.group()
@@ -216,13 +222,13 @@ def cmd_det(t, fmt):
         emit_csv(["name", "determinant", "closed", "pass"],
                  [(c.name, str(c.determinant), str(c.closed), c.passed) for c in checks])
     else:
-        click.echo(format_tree_line(t))
+        _echo(format_tree_line(t))
         for c in checks:
-            click.echo(f"det({c.name}) = {c.determinant}")
-            click.echo(f"closed({c.name}) = {c.closed}")
-            click.echo(f"check({c.name}): {'PASS' if c.passed else 'FAIL'}")
+            _echo(f"det({c.name}) = {c.determinant}")
+            _echo(f"closed({c.name}) = {c.closed}")
+            _echo(f"check({c.name}): {'PASS' if c.passed else 'FAIL'}")
         passed = sum(c.passed for c in checks)
-        click.echo(f"result: {'PASS' if ok else 'FAIL'} ({passed}/{len(checks)})")
+        _echo(f"result: {'PASS' if ok else 'FAIL'} ({passed}/{len(checks)})")
     if not ok:
         sys.exit(EXIT_IDENTITY_FAILURE)
 
@@ -281,9 +287,9 @@ def cmd_verify(exhaustive_n, trials, trials_alias, n_max, max_weight, seed,
     if exhaustive_n is not None:
         _check_exhaustive_cap(exhaustive_n, allow_n8)
         if exhaustive_n == MAX_EXHAUSTIVE_N:
-            click.echo("warning: exhaustive n=8 sweeps 262144 trees through the "
-                       "full identity suite; expect on the order of an hour",
-                       err=True)
+            _echo("warning: exhaustive n=8 sweeps 262144 trees through the "
+                  "full identity suite; expect on the order of an hour",
+                  err=True)
         trees = _make_trees(enumerate_trees, exhaustive_n, weight)
         mode = {"mode": "exhaustive", "n": exhaustive_n, "weight": weight}
         count, checks, failures = _run_verify_corpus(trees, True)
@@ -310,13 +316,13 @@ def cmd_verify(exhaustive_n, trials, trials_alias, n_max, max_weight, seed,
                 if mode["mode"] == "exhaustive"
                 else f"random trials={mode['trials']} n_max={mode['n_max']} "
                      f"max_weight={mode['max_weight']} seed={mode['seed']}")
-        click.echo(f"verify: {desc}")
-        click.echo(f"trees: {count}")
-        click.echo(f"checks: {checks}")
-        click.echo(f"failures: {len(failures)}")
+        _echo(f"verify: {desc}")
+        _echo(f"trees: {count}")
+        _echo(f"checks: {checks}")
+        _echo(f"failures: {len(failures)}")
         for f in failures:
-            click.echo(f"FAIL {f['check']} on {f['tree']}")
-        click.echo(f"result: {'PASS' if ok else 'FAIL'}")
+            _echo(f"FAIL {f['check']} on {f['tree']}")
+        _echo(f"result: {'PASS' if ok else 'FAIL'}")
     if not ok:
         sys.exit(EXIT_IDENTITY_FAILURE)
 
@@ -379,7 +385,7 @@ def cmd_perm_table(t, k_max, fmt):
         emit_csv(["kind", "k", "oracle", "determinant", "closed"], csv_rows)
     else:
         for line in plain:
-            click.echo(line)
+            _echo(line)
     if not ok:
         sys.exit(EXIT_IDENTITY_FAILURE)
 
@@ -402,9 +408,9 @@ def cmd_wiener(t, fmt):
         emit_csv(["k", "coefficient"],
                  [(k, c) for k, c in enumerate(poly.coeffs)])
     else:
-        click.echo(format_tree_line(t))
-        click.echo(f"wiener polynomial: {poly}")
-        click.echo(f"wiener index: {index}")
+        _echo(format_tree_line(t))
+        _echo(f"wiener polynomial: {poly}")
+        _echo(f"wiener index: {index}")
 
 
 # -- gen-tree ----------------------------------------------------------------
@@ -425,7 +431,7 @@ def cmd_gen_tree(t, out_file, fmt):
         with open(out_file, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
 
 
 # -- enumerate ---------------------------------------------------------------
@@ -450,19 +456,19 @@ def cmd_enumerate(exhaustive_n, weight, allow_n8, fmt):
         for idx, t in enumerate(trees):
             for u, v, w in t.edges:
                 writer.writerow([idx, u, v, w])
-        click.echo(buf.getvalue().rstrip("\n"))
+        _echo(buf.getvalue().rstrip("\n"))
     elif fmt == "json":
         for t in trees:
-            click.echo(json.dumps(tree_to_json_dict(t)))
+            _echo(json.dumps(tree_to_json_dict(t)))
     else:
         for t in trees:
-            click.echo(" ".join([str(t.n)] + [f"{u},{v},{w}" for u, v, w in t.edges]))
+            _echo(" ".join([str(t.n)] + [f"{u},{v},{w}" for u, v, w in t.edges]))
 
 
 @main.command("backend")
 def cmd_backend():
     """Report which kernel backend is active."""
-    click.echo(BACKEND)
+    _echo(BACKEND)
 
 
 if __name__ == "__main__":

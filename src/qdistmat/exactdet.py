@@ -44,10 +44,10 @@ def det_bareiss(m: PolyMatrix) -> Poly:
     """Exact determinant by fraction-free single-step elimination.
 
     On the pure backend the elimination runs over the integers after
-    Kronecker substitution (see the module docstring).
+    Kronecker substitution (see the module docstring).  The kernel reads
+    the matrix's rows of coefficient tuples as they are stored.
     """
-    rows = [[list(e.coeffs) for e in row] for row in m.rows]
-    return _make(_kernels.bareiss_det(rows))
+    return _make(_kernels.bareiss_det(m.rows))
 
 
 def det_cofactor(m: PolyMatrix) -> Poly:
@@ -60,14 +60,14 @@ def det_cofactor(m: PolyMatrix) -> Poly:
 def _cofactor(rows) -> Poly:
     n = len(rows)
     if n == 1:
-        return rows[0][0]
+        return _make(rows[0][0])
     acc = Poly()
     for j in range(n):
         a = rows[0][j]
         if not a:
             continue
         sub = tuple(row[:j] + row[j + 1 :] for row in rows[1:])
-        term = a * _cofactor(sub)
+        term = _make(a) * _cofactor(sub)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
 
@@ -82,11 +82,9 @@ def dodgson(m: PolyMatrix) -> Optional[Poly]:
     would be a bug and raises.
     """
     n = m.n
-    if n == 1:
-        return m.rows[0][0]
     one = _make((1,))
     prev = [[one] * (n + 1) for _ in range(n + 1)]
-    cur = [list(row) for row in m.rows]
+    cur = [[_make(e) for e in row] for row in m.rows]
     while len(cur) > 1:
         k = len(cur)
         nxt = [[None] * (k - 1) for _ in range(k - 1)]

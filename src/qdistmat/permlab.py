@@ -143,7 +143,7 @@ def _check_perm_n(n: int):
 def n_table_oracle(t: WeightedTree) -> PermStats:
     """Signed length histogram over all n! permutations."""
     _check_perm_n(t.n)
-    dist = all_pairs_distances(t).as_lists()
+    dist = all_pairs_distances(t).rows
     table = _kernels.perm_n_table(dist, t.n)
     return PermStats("N", t.n, dict(table), "oracle")
 
@@ -156,7 +156,7 @@ def m_table_oracle(t: WeightedTree) -> PermStats:
     the independent route used to cross-check that equivalence.
     """
     _check_perm_n(t.n)
-    dist = all_pairs_distances(t).as_lists()
+    dist = all_pairs_distances(t).rows
     coeffs = _kernels.perm_m_coeffs(dist, t.n)
     return PermStats("M", t.n, {k: c for k, c in enumerate(coeffs) if c}, "oracle")
 

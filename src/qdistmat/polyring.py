@@ -102,7 +102,7 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _make(_kernels.poly_mul(list(self.coeffs), list(other.coeffs)))
+        return _make(_kernels.poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -127,7 +127,7 @@ class Poly:
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
         try:
-            q = _kernels.poly_exact_div(list(self.coeffs), list(other.coeffs))
+            q = _kernels.poly_exact_div(self.coeffs, other.coeffs)
         except ValueError as exc:
             raise ExactDivisionError(
                 f"{self!s} is not divisible by {other!s}"

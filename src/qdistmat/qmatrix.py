@@ -4,6 +4,11 @@ Four constructions: the plain distance matrix, its two q-analogues (bracket
 entries and monomial entries), and the all-ones shift used by the rank-one
 perturbation determinant.  Minors are taken by deleting 1-based row and
 column index sets, matching the superscript/subscript minor notation.
+
+A matrix stores each entry as its canonical coefficient tuple, the form of
+``Poly.coeffs``, so the determinant kernels read its rows as they are
+stored.  Every entry is a function of one distance, and a builder makes
+one tuple per distinct distance and shares it across the matrix.
 """
 
 from __future__ import annotations
@@ -24,12 +29,12 @@ __all__ = [
 
 
 class PolyMatrix:
-    """Immutable square matrix with Poly entries."""
+    """Immutable square matrix over Z[q]; ``rows`` holds coefficient tuples."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Sequence[Sequence[Poly]]):
-        rows = tuple(tuple(e for e in row) for row in rows)
+        rows = tuple(tuple(row) for row in rows)
         n = len(rows)
         if n == 0:
             raise ValueError("empty matrix")
@@ -40,29 +45,11 @@ class PolyMatrix:
                 if not isinstance(e, Poly):
                     raise TypeError(f"matrix entries must be Poly, got {type(e).__name__}")
         self.n = n
-        self.rows = rows
+        self.rows = tuple(tuple(e.coeffs for e in row) for row in rows)
 
     def entry(self, i: int, j: int) -> Poly:
         """Entry at 1-based position (i, j)."""
-        return self.rows[i - 1][j - 1]
-
-    def column(self, j: int) -> tuple[Poly, ...]:
-        """Column with 1-based index j."""
-        return tuple(row[j - 1] for row in self.rows)
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(tuple(zip(*self.rows)))
-
-    def eval_int(self, t: int) -> tuple[tuple[int, ...], ...]:
-        """Entrywise integer evaluation at t."""
-        return tuple(tuple(e.eval_int(t) for e in row) for row in self.rows)
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        return _make(self.rows[i - 1][j - 1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -75,29 +62,35 @@ class PolyMatrix:
     def __repr__(self) -> str:
         return f"PolyMatrix(n={self.n})"
 
-    def to_json_rows(self) -> list[list[str]]:
-        """n x n array of polynomial strings."""
-        return [[str(e) for e in row] for row in self.rows]
+
+def _trusted(rows: tuple) -> PolyMatrix:
+    # trusted constructor: a non-empty square tuple of tuples of canonical
+    # coefficient tuples
+    m = PolyMatrix.__new__(PolyMatrix)
+    m.n = len(rows)
+    m.rows = rows
+    return m
 
 
-def _from_distances(t: WeightedTree, f: Callable[[int], Poly]) -> PolyMatrix:
-    dist = all_pairs_distances(t)
-    return PolyMatrix([[f(x) for x in row] for row in dist.rows])
+def _from_distances(t: WeightedTree, f: Callable[[int], tuple]) -> PolyMatrix:
+    dist = all_pairs_distances(t).rows
+    entry = {x: f(x) for x in set().union(*dist)}
+    return _trusted(tuple(tuple([entry[x] for x in row]) for row in dist))
 
 
 def build_d(t: WeightedTree) -> PolyMatrix:
     """Distance matrix with constant-polynomial entries d(v_i, v_j)."""
-    return _from_distances(t, lambda x: _make((x,) if x else ()))
+    return _from_distances(t, lambda x: (x,) if x else ())
 
 
 def build_dq(t: WeightedTree) -> PolyMatrix:
     """Bracket q-distance matrix: entry (i, j) is [d(v_i, v_j)]."""
-    return _from_distances(t, qbracket)
+    return _from_distances(t, lambda x: qbracket(x).coeffs)
 
 
 def build_dq_star(t: WeightedTree) -> PolyMatrix:
     """Monomial q-distance matrix: entry (i, j) is q^d(v_i, v_j), diagonal 1."""
-    return _from_distances(t, qpower)
+    return _from_distances(t, lambda x: qpower(x).coeffs)
 
 
 def build_d_plus_xJ(t: WeightedTree) -> PolyMatrix:
@@ -105,7 +98,7 @@ def build_d_plus_xJ(t: WeightedTree) -> PolyMatrix:
 
     The ring indeterminate plays the role of x here; entries are d + x.
     """
-    return _from_distances(t, lambda x: _make((x, 1)))
+    return _from_distances(t, lambda x: (x, 1))
 
 
 def minor(m: PolyMatrix, rows: Iterable[int], cols: Iterable[int]) -> PolyMatrix:
@@ -118,6 +111,6 @@ def minor(m: PolyMatrix, rows: Iterable[int], cols: Iterable[int]) -> PolyMatrix
             raise ValueError(f"index {idx} out of range 1..{m.n}")
     if len(rset) == m.n:
         raise ValueError("cannot delete every row")
-    keep_r = [i for i in range(m.n) if i + 1 not in rset]
     keep_c = [j for j in range(m.n) if j + 1 not in cset]
-    return PolyMatrix([[m.rows[i][j] for j in keep_c] for i in keep_r])
+    return _trusted(tuple(tuple([row[j] for j in keep_c])
+                          for i, row in enumerate(m.rows) if i + 1 not in rset))

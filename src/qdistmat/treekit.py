@@ -150,9 +150,6 @@ class DistanceTable:
         """Distance between vertices with 1-based labels u and v."""
         return self.rows[u - 1][v - 1]
 
-    def as_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
-
     def __repr__(self) -> str:
         return f"DistanceTable(n={self.n})"
 

@@ -1,6 +1,10 @@
 """CLI: exit codes, output stability, schema validity, round-trips."""
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 from pathlib import Path
 
 import jsonschema
@@ -323,3 +327,19 @@ def test_enumerate_cap(runner):
 def test_backend_command(runner):
     result = runner.invoke(cli.main, ["backend"])
     assert result.output.strip() in ("compiled", "pure")
+
+
+def test_in_process_call_releases_redirected_stdout():
+    # a caller that runs the CLI in-process and redirects stdout must get
+    # its buffer back: nothing the call leaves behind may keep it alive
+    buf = io.StringIO()
+    ref = weakref.ref(buf)
+    with contextlib.redirect_stdout(buf):
+        with pytest.raises(SystemExit) as exc:
+            cli.main.main(["verify", "--exhaustive", "3", "--output", "json"],
+                          prog_name="qdistmat")
+    assert exc.value.code == 0
+    assert json.loads(buf.getvalue())["pass"] is True
+    del buf
+    gc.collect()
+    assert ref() is None

@@ -167,8 +167,8 @@ def test_column_elimination_step():
                 for (u, v, w) in t.edges
                 if p in (u, v)
             )
-            col_p = m.column(p)
-            col_s = m.column(s)
+            col_p = [m.entry(i, p) for i in range(1, t.n + 1)]
+            col_s = [m.entry(i, s) for i in range(1, t.n + 1)]
             diff = [a - qpower(w) * b for a, b in zip(col_p, col_s)]
             for i, e in enumerate(diff, start=1):
                 if i == p:

@@ -12,7 +12,7 @@ from qdistmat.exactdet import (
     det_cofactor,
     dodgson,
 )
-from qdistmat import closedforms
+from qdistmat import _kernels, closedforms
 from qdistmat.polyring import Poly, qbracket
 from qdistmat.qmatrix import (
     PolyMatrix,
@@ -47,6 +47,19 @@ def test_bareiss_order_one():
     assert det_bareiss(PolyMatrix([[Poly([3, 1])]])) == Poly([3, 1])
 
 
+def test_bareiss_hands_the_kernel_the_stored_rows(monkeypatch):
+    seen = []
+
+    def kernel(rows):
+        seen.append(rows)
+        return [7]
+
+    monkeypatch.setattr(_kernels, "bareiss_det", kernel)
+    m = build_dq(random_tree(5, 3, 2))
+    assert det_bareiss(m) == Poly([7])
+    assert seen == [m.rows] and seen[0] is m.rows
+
+
 def test_cofactor_examples():
     assert det_cofactor(PolyMatrix([[Poly([5, 2])]])) == Poly([5, 2])
     m = build_dq_star(from_edges(2, [(1, 2, 2)]))
@@ -74,7 +87,9 @@ def test_transpose_invariance():
     rng = random.Random(8)
     for _ in range(50):
         m = propcheck.random_int_matrix(rng, rng.randint(1, 5))
-        assert det_bareiss(m) == det_bareiss(m.transpose())
+        mt = PolyMatrix([[m.entry(j, i) for j in range(1, m.n + 1)]
+                         for i in range(1, m.n + 1)])
+        assert det_bareiss(m) == det_bareiss(mt)
     # symmetric q-distance matrices: opposite corner minors agree
     for _ in range(20):
         t = random_tree(rng.randint(3, 7), 4, rng.getrandbits(63))

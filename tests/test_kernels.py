@@ -18,7 +18,7 @@ from qdistmat._kernels import BACKEND, pure
 from qdistmat.exactdet import det_cofactor
 from qdistmat.identities import identity_suite
 from qdistmat.polyring import Poly
-from qdistmat.qmatrix import PolyMatrix, build_dq_star
+from qdistmat.qmatrix import PolyMatrix, build_d, build_dq_star
 from qdistmat.treekit import path_tree, random_tree, star_tree
 
 COMPILED = ("poly_mul", "bareiss_det", "perm_n_table", "perm_m_coeffs")
@@ -233,7 +233,7 @@ def test_pure_bareiss_edge_cases(rows, det):
 
 
 def coeff_rows(m):
-    return [[list(e.coeffs) for e in row] for row in m.rows]
+    return list(m.rows)
 
 
 def scale_first_row(rows, factor):
@@ -242,6 +242,22 @@ def scale_first_row(rows, factor):
 
 def hadamard_sq(rows):
     return math.prod(sum(sum(map(abs, e)) ** 2 for e in row) for row in rows)
+
+
+def test_pure_bareiss_takes_constant_matrices_in_one_elimination(monkeypatch):
+    # D at n = 24 is past the 64-bit Hadamard width; det M(1) is det M
+    t = random_tree(24, 4, 0)
+    calls = []
+
+    def int_det(m, real=pure._int_det):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(pure, "_int_det", int_det)
+    rows = build_d(t).rows
+    assert (hadamard_sq(rows).bit_length() + 1) // 2 + 2 > 64
+    assert pure.bareiss_det(rows) == [closedforms.bkn_det(t.weights)]
+    assert calls == [24]
 
 
 def test_pure_bareiss_widens_after_failed_certificates(monkeypatch):

@@ -13,14 +13,19 @@ from qdistmat.qmatrix import (
     build_dq_star,
     minor,
 )
-from qdistmat.treekit import from_edges, path_tree, random_tree, star_tree
+from qdistmat.treekit import all_pairs_distances, from_edges, path_tree, random_tree, star_tree
+
+
+def values_at(m, t):
+    """Entrywise integer evaluation at t."""
+    return tuple(tuple(Poly(e).eval_int(t) for e in row) for row in m.rows)
 
 
 def test_build_d_examples():
     m = build_d(from_edges(2, [(1, 2, 1)]))
-    assert m.eval_int(0) == ((0, 1), (1, 0))
+    assert values_at(m, 0) == ((0, 1), (1, 0))
     p3 = build_d(path_tree(3, [1, 1]))
-    assert p3.eval_int(0) == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+    assert values_at(p3, 0) == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
     t = random_tree(6, 3, 17)
     assert all(build_d(t).entry(i, i) == Poly() for i in range(1, 7))
 
@@ -37,7 +42,7 @@ def test_build_dq_examples():
 def test_build_dq_specializes_to_d():
     for seed in range(10):
         t = random_tree(6, 4, seed)
-        assert build_dq(t).eval_int(1) == build_d(t).eval_int(0)
+        assert values_at(build_dq(t), 1) == values_at(build_d(t), 0)
 
 
 def test_build_dq_star_examples():
@@ -45,7 +50,7 @@ def test_build_dq_star_examples():
     assert m.entry(1, 2) == qpower(3)
     assert m.entry(1, 1) == Poly([1])
     p3 = build_dq_star(path_tree(3, [1, 1]))
-    assert [str(e) for e in p3.rows[0]] == ["1", "q", "q^2"]
+    assert [str(p3.entry(1, j)) for j in (1, 2, 3)] == ["1", "q", "q^2"]
     t = random_tree(7, 2, 3)
     assert all(build_dq_star(t).entry(i, i) == Poly([1]) for i in range(1, 8))
 
@@ -56,16 +61,16 @@ def test_build_d_plus_xj():
     assert m.entry(1, 2) == Poly([1, 1])
     t = random_tree(5, 3, 7)
     shifted = build_d_plus_xJ(t)
-    assert shifted.eval_int(0) == build_d(t).eval_int(0)
-    assert all(e.degree == 1 for row in shifted.rows for e in row)
+    assert values_at(shifted, 0) == values_at(build_d(t), 0)
+    assert all(len(e) == 2 and e[1] == 1 for row in shifted.rows for e in row)
 
 
 def test_symmetry_invariants():
     for seed in range(20):
         t = random_tree(random.Random(seed).randint(2, 7), 4, seed)
-        assert build_d(t).is_symmetric()
-        assert build_dq(t).is_symmetric()
-        assert build_dq_star(t).is_symmetric()
+        for builder in (build_d, build_dq, build_dq_star):
+            m = builder(t)
+            assert m.rows == tuple(zip(*m.rows))
 
 
 def test_minor_identity_and_singletons():
@@ -73,7 +78,7 @@ def test_minor_identity_and_singletons():
     assert minor(m, set(), set()) == m
     mid = minor(PolyMatrix([[Poly([i * 3 + j]) for j in range(1, 4)] for i in range(3)]),
                 {1, 3}, {1, 3})
-    assert mid.rows == ((Poly([5]),),)
+    assert mid.rows == (((5,),),)
 
 
 def _drop_pendant(t, p):
@@ -136,10 +141,34 @@ def test_matrix_validation():
         PolyMatrix([[1]])
 
 
-def test_to_json_rows():
+def test_entry_strings():
     m = build_dq(path_tree(3, [1, 1]))
-    assert m.to_json_rows() == [
+    assert [[str(m.entry(i, j)) for j in (1, 2, 3)] for i in (1, 2, 3)] == [
         ["0", "1", "1 + q"],
         ["1", "0", "1"],
         ["1 + q", "1", "0"],
     ]
+
+
+def test_matrix_stores_coefficient_tuples():
+    m = PolyMatrix([[Poly([1, 2]), Poly()], [Poly([0, 0, 3]), Poly([-4])]])
+    assert m.rows == (((1, 2), ()), ((0, 0, 3), (-4,)))
+    assert m.entry(2, 1) == Poly([0, 0, 3])
+
+
+def test_builders_share_one_canonical_tuple_per_distance():
+    rng = random.Random(5)
+    for _ in range(20):
+        t = random_tree(rng.randint(2, 8), 4, rng.getrandbits(63))
+        dist = all_pairs_distances(t).rows
+        for builder in (build_d, build_d_plus_xJ, build_dq, build_dq_star):
+            m = builder(t)
+            shared = {}
+            for drow, row in zip(dist, m.rows):
+                for x, e in zip(drow, row):
+                    assert type(e) is tuple and all(type(c) is int for c in e)
+                    assert Poly(e).coeffs == e  # canonical: no trailing zero
+                    assert shared.setdefault(x, e) is e, (builder.__name__, x)
+            sub = minor(m, {1}, {1})
+            assert all(e is shared[x] for drow, row in zip(dist[1:], sub.rows)
+                       for x, e in zip(drow[1:], row))

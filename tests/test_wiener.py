@@ -46,5 +46,5 @@ def test_wiener_poly_is_upper_triangle_of_monomial_matrix():
         acc = Poly()
         for i in range(t.n):
             for j in range(i + 1, t.n):
-                acc = acc + m.rows[i][j]
+                acc = acc + m.entry(i + 1, j + 1)
         assert acc == wiener_poly(t)
