@@ -23,7 +23,10 @@ import click
 
 from . import permlab, wiener
 from ._kernels import BACKEND
+from .exactdet import det_bareiss
 from .identities import det_checks, identity_suite
+from .polyring import Poly
+from .qmatrix import build_dq, build_dq_star
 from .treekit import (
     MAX_EXHAUSTIVE_N,
     WeightedTree,
@@ -280,6 +283,8 @@ def _run_verify_corpus(trees, check_structure_independence):
 def cmd_verify(exhaustive_n, trials, trials_alias, n_max, max_weight, seed,
                weight, allow_n8, fmt):
     """Run the full identity suite over a corpus of trees."""
+    if trials is not None and trials_alias is not None:
+        raise click.UsageError("--trials is an alias for --random; give only one of them")
     if trials is None:
         trials = trials_alias
     if (exhaustive_n is None) == (trials is None):
@@ -330,6 +335,11 @@ def cmd_verify(exhaustive_n, trials, trials_alias, n_max, max_weight, seed,
 # -- perm-table --------------------------------------------------------------
 
 
+def _table_json(kind: str, n: int, table: Poly, source: str) -> dict:
+    coeffs = {str(k): c for k, c in enumerate(table.coeffs) if c}
+    return {"kind": kind, "n": n, "coeffs": coeffs, "source": source}
+
+
 @main.command("perm-table")
 @tree_source_options
 @click.option("--k-max", type=click.IntRange(min=0), default=None,
@@ -341,9 +351,9 @@ def cmd_perm_table(t, k_max, fmt):
         raise click.UsageError(f"perm-table supports 2 <= n <= {permlab.PERM_MAX_N}")
     simple = t.is_simple()
     tables = {
-        "N": (permlab.n_table_oracle(t), permlab.n_table_from_det(t),
+        "N": (permlab.n_table_oracle(t), det_bareiss(build_dq_star(t)),
               permlab.n_closed_table(t.n) if simple else None),
-        "M": (permlab.m_table_oracle(t), permlab.m_table_from_det(t),
+        "M": (permlab.m_table_oracle(t), det_bareiss(build_dq(t)),
               permlab.m_closed_table(t.n) if simple else None),
     }
     ok = True
@@ -351,29 +361,26 @@ def cmd_perm_table(t, k_max, fmt):
     plain = [format_tree_line(t)]
     csv_rows = []
     for kind, (oracle, fromdet, closed) in tables.items():
-        top = max(oracle.max_k(), fromdet.max_k(), max(closed, default=0) if closed else 0)
+        top = max([0] + [len(p.coeffs) - 1 for p in (oracle, fromdet, closed) if p is not None])
         if k_max is not None:
             top = min(top, k_max)
-        det_ok = oracle.same_table(fromdet)
-        closed_ok = (
-            None if closed is None
-            else all(oracle.coeff(k) == closed.get(k, 0) for k in range(top + 1))
-        )
+        det_ok = oracle == fromdet
+        closed_ok = None if closed is None else oracle == closed
         ok = ok and det_ok and closed_ok is not False
         payload_tables[kind] = {
-            "oracle": oracle.to_json_dict(),
-            "determinant": fromdet.to_json_dict(),
-            "closed": ({str(k): v for k, v in sorted(closed.items()) if k <= top}
+            "oracle": _table_json(kind, t.n, oracle, "oracle"),
+            "determinant": _table_json(kind, t.n, fromdet, "determinant"),
+            "closed": ({str(k): c for k, c in enumerate(closed.coeffs[:top + 1]) if c}
                        if closed is not None else None),
             "oracle_vs_determinant": det_ok,
             "oracle_vs_closed": closed_ok,
         }
         plain.append(f"{kind}-table (k: oracle / determinant / closed):")
         for k in range(top + 1):
-            cval = "n/a (weighted)" if closed is None else str(closed.get(k, 0))
+            cval = "n/a (weighted)" if closed is None else str(closed.coeff(k))
             plain.append(f"  {k}: {oracle.coeff(k)} / {fromdet.coeff(k)} / {cval}")
             csv_rows.append((kind, k, oracle.coeff(k), fromdet.coeff(k),
-                             "" if closed is None else closed.get(k, 0)))
+                             "" if closed is None else closed.coeff(k)))
         closed_desc = "n/a (weighted)" if closed_ok is None else ("PASS" if closed_ok else "FAIL")
         plain.append(f"agreement({kind}): determinant {'PASS' if det_ok else 'FAIL'}, "
                      f"closed {closed_desc}")

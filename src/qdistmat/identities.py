@@ -89,6 +89,6 @@ def identity_suite(t: WeightedTree) -> tuple[list[tuple[str, bool]], tuple[Poly,
             )
             results.append(("recurrence16", not lhs))
     if n <= 8:
-        results.append(("genfun_N", permlab.n_table_oracle(t).as_poly() == det_dq_star))
-        results.append(("genfun_M", permlab.m_table_oracle(t).as_poly() == det_dq))
+        results.append(("genfun_N", permlab.n_table_oracle(t) == det_dq_star))
+        results.append(("genfun_M", permlab.m_table_oracle(t) == det_dq))
     return results, (det_d, det_dq, det_dq_star, det_dxj)

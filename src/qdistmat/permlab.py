@@ -1,43 +1,36 @@
 """Signed permutation statistics on trees, by brute force.
 
-Two tables per tree: the signed histogram of permutation lengths
+Two tables per tree, each returned as its generating polynomial
+sum_k c_k q^k: the signed histogram of permutation lengths
 sum_i d(v_i, v_sigma(i)) (the N-table), and the signed count of bounded
-compositions below those distances (the M-table).  Both have generating
-functions equal to determinants of the q-distance matrices, which the
-report helpers check coefficient by coefficient; for simple trees both
+compositions below those distances (the M-table).  The paper's results say
+these polynomials are det D*_q and det D_q; this module sums over all n!
+permutations and uses no determinant or matrix code, so it stays an
+independent check of the elimination route.  For simple trees both tables
 also have binomial closed forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
 
 from . import _kernels
-from .exactdet import det_bareiss
 from .polyring import ONE, Poly, qbracket
-from .qmatrix import build_dq, build_dq_star
 from .treekit import DistanceTable, WeightedTree, all_pairs_distances
 
 __all__ = [
     "PERM_MAX_N",
     "Permutation",
-    "PermStats",
     "sign",
     "length_on_tree",
     "n_table_oracle",
     "m_table_oracle",
-    "n_table_from_det",
-    "m_table_from_det",
     "n_closed",
     "m_closed",
     "n_closed_table",
     "m_closed_table",
     "phi_count_direct",
     "phi_count_poly",
-    "GenFunctionReport",
-    "generating_function_check",
 ]
 
 PERM_MAX_N = 9
@@ -97,59 +90,24 @@ def length_on_tree(p: Permutation, d: DistanceTable) -> int:
     return sum(rows[i][p.images[i] - 1] for i in range(d.n))
 
 
-@dataclass(frozen=True)
-class PermStats:
-    """Signed coefficient table N_{n,k} or M_{n,k} with its provenance."""
-
-    kind: str  # "N" or "M"
-    n: int
-    coeffs: Mapping[int, int] = field(hash=False)
-    source: str = "oracle"  # "oracle" or "determinant"
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs.get(k, 0)
-
-    def max_k(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def as_poly(self) -> Poly:
-        if not self.coeffs:
-            return Poly()
-        out = [0] * (self.max_k() + 1)
-        for k, v in self.coeffs.items():
-            out[k] = v
-        return Poly(out)
-
-    def same_table(self, other: "PermStats") -> bool:
-        return self.kind == other.kind and self.n == other.n and dict(
-            self.coeffs
-        ) == dict(other.coeffs)
-
-    def to_json_dict(self) -> dict:
-        ordered = {str(k): self.coeffs[k] for k in sorted(self.coeffs)}
-        return {"kind": self.kind, "n": self.n, "coeffs": ordered, "source": self.source}
-
-    def to_csv_rows(self, k_max: int | None = None) -> list[tuple[int, int]]:
-        """Dense (k, value) rows from 0 through max_k (or k_max)."""
-        top = self.max_k() if k_max is None else k_max
-        return [(k, self.coeff(k)) for k in range(top + 1)]
-
-
 def _check_perm_n(n: int):
     if n > PERM_MAX_N:
         raise ValueError(f"permutation sweeps capped at n = {PERM_MAX_N} (n! cost)")
 
 
-def n_table_oracle(t: WeightedTree) -> PermStats:
-    """Signed length histogram over all n! permutations."""
+def n_table_oracle(t: WeightedTree) -> Poly:
+    """Signed length histogram over all n! permutations, as sum_k N_{n,k} q^k."""
     _check_perm_n(t.n)
     dist = all_pairs_distances(t).rows
     table = _kernels.perm_n_table(dist, t.n)
-    return PermStats("N", t.n, dict(table), "oracle")
+    coeffs = [0] * (max(table, default=-1) + 1)
+    for k, c in table.items():
+        coeffs[k] = c
+    return Poly(coeffs)
 
 
-def m_table_oracle(t: WeightedTree) -> PermStats:
-    """Signed bounded-composition counts over all n! permutations.
+def m_table_oracle(t: WeightedTree) -> Poly:
+    """Signed bounded-composition counts over all n! permutations, as sum_k M_{n,k} q^k.
 
     Internally sums per-permutation bracket products, whose k-th
     coefficients are exactly the composition counts; phi_count_direct is
@@ -157,20 +115,7 @@ def m_table_oracle(t: WeightedTree) -> PermStats:
     """
     _check_perm_n(t.n)
     dist = all_pairs_distances(t).rows
-    coeffs = _kernels.perm_m_coeffs(dist, t.n)
-    return PermStats("M", t.n, {k: c for k, c in enumerate(coeffs) if c}, "oracle")
-
-
-def n_table_from_det(t: WeightedTree) -> PermStats:
-    """N-table read off the determinant of the monomial q-distance matrix."""
-    det = det_bareiss(build_dq_star(t))
-    return PermStats("N", t.n, {k: c for k, c in enumerate(det.coeffs) if c}, "determinant")
-
-
-def m_table_from_det(t: WeightedTree) -> PermStats:
-    """M-table read off the determinant of the bracket q-distance matrix."""
-    det = det_bareiss(build_dq(t))
-    return PermStats("M", t.n, {k: c for k, c in enumerate(det.coeffs) if c}, "determinant")
+    return Poly(_kernels.perm_m_coeffs(dist, t.n))
 
 
 def n_closed(n: int, k: int) -> int:
@@ -190,14 +135,14 @@ def m_closed(n: int, k: int) -> int:
     return (-1) ** (n - 1) * (n - 1) * math.comb(n - 2, k)
 
 
-def n_closed_table(n: int) -> dict[int, int]:
-    """Nonzero closed-form N coefficients (supported on even k <= 2(n-1))."""
-    return {k: n_closed(n, k) for k in range(0, 2 * n - 1, 2)}
+def n_closed_table(n: int) -> Poly:
+    """Closed-form N-table of a simple tree, supported on even k <= 2(n-1)."""
+    return Poly(n_closed(n, k) for k in range(2 * n - 1))
 
 
-def m_closed_table(n: int) -> dict[int, int]:
-    """Nonzero closed-form M coefficients (supported on k <= n-2)."""
-    return {k: m_closed(n, k) for k in range(n - 1)}
+def m_closed_table(n: int) -> Poly:
+    """Closed-form M-table of a simple tree, supported on k <= n-2."""
+    return Poly(m_closed(n, k) for k in range(n - 1))
 
 
 def _phi_bounds(p: Permutation, d: DistanceTable) -> list[int]:
@@ -241,39 +186,3 @@ def phi_count_poly(p: Permutation, d: DistanceTable) -> Poly:
         if not acc:
             break
     return acc
-
-
-@dataclass(frozen=True)
-class GenFunctionReport:
-    """Coefficient-level comparison of oracle tables and determinants."""
-
-    n: int
-    n_oracle: PermStats
-    m_oracle: PermStats
-    n_det: PermStats
-    m_det: PermStats
-
-    @property
-    def n_ok(self) -> bool:
-        return self.n_oracle.same_table(self.n_det)
-
-    @property
-    def m_ok(self) -> bool:
-        return self.m_oracle.same_table(self.m_det)
-
-    @property
-    def ok(self) -> bool:
-        return self.n_ok and self.m_ok
-
-
-def generating_function_check(t: WeightedTree) -> GenFunctionReport:
-    """Check both generating-function identities on one tree (n <= 8)."""
-    if t.n > 8:
-        raise ValueError("generating-function check capped at n = 8")
-    return GenFunctionReport(
-        n=t.n,
-        n_oracle=n_table_oracle(t),
-        m_oracle=m_table_oracle(t),
-        n_det=n_table_from_det(t),
-        m_det=m_table_from_det(t),
-    )

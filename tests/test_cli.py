@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from qdistmat import cli, identities
+from qdistmat import cli, identities, permlab
 from qdistmat.polyring import Poly
 from qdistmat.treekit import enumerate_trees, load_tree, random_tree, tree_to_json_dict
 
@@ -200,6 +200,13 @@ def test_verify_usage_errors(runner):
     ).exit_code == 2
 
 
+def test_verify_random_and_trials_conflict(runner):
+    result = runner.invoke(cli.main, ["verify", "--random", "2", "--trials", "5"])
+    assert result.exit_code == 2
+    assert "--trials" in result.stderr
+    assert "trees:" not in result.stdout
+
+
 def test_verify_trials_alias(runner):
     result = runner.invoke(cli.main, ["verify", "--trials", "5", "--seed", "1"])
     assert result.exit_code == 0
@@ -233,13 +240,27 @@ def test_perm_table_weighted_marks_closed_na(runner):
     assert "n/a (weighted)" in result.output
 
 
-def test_perm_table_json_schema(runner):
+@pytest.mark.parametrize("args", [
+    ["--star", "4"],
+    ["--path", "3", "--weights", "2 1"],
+    ["--path", "4", "--k-max", "1"],
+], ids=["star4", "weighted", "k-max"])
+def test_perm_table_json_schema(runner, args):
     result = runner.invoke(
-        cli.main, ["perm-table", "--star", "4", "--output", "json"]
+        cli.main, ["perm-table", *args, "--output", "json"]
     )
     payload = validated_json(result)
     assert payload["pass"] is True
     assert payload["tables"]["N"]["oracle"]["coeffs"]["0"] == 1
+    weighted = "--weights" in args
+    for kind, table in payload["tables"].items():
+        for source in ("oracle", "determinant"):
+            assert table[source]["kind"] == kind and table[source]["source"] == source
+            assert all(table[source]["coeffs"].values())  # zero coefficients left out
+        assert (table["closed"] is None) == weighted
+        assert (table["oracle_vs_closed"] is None) == weighted
+        if "--k-max" in args:
+            assert max(map(int, table["closed"])) <= 1 < max(map(int, table["oracle"]["coeffs"]))
 
 
 def test_perm_table_k_max(runner):
@@ -248,6 +269,17 @@ def test_perm_table_k_max(runner):
     )
     rows = [r for r in result.output.strip().splitlines()[1:]]
     assert all(int(r.split(",")[1]) <= 2 for r in rows)
+
+
+def test_perm_table_k_max_limits_rows_not_the_verdict(runner, monkeypatch):
+    real = permlab.n_closed_table
+    # a wrong closed-form coefficient at k = 2n - 2, far above --k-max 0
+    monkeypatch.setattr(permlab, "n_closed_table",
+                        lambda n: real(n) + Poly([0] * (2 * n - 2) + [5]))
+    for extra in ([], ["--k-max", "0"]):
+        result = runner.invoke(cli.main, ["perm-table", "--path", "4", *extra])
+        assert result.exit_code == 1, extra
+        assert "agreement(N): determinant PASS, closed FAIL" in result.output
 
 
 def test_perm_table_rejects_negative_k_max(runner):

@@ -1,21 +1,19 @@
 """Permutation statistics: oracles, closed forms, generating functions."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 import propcheck
-from qdistmat import permlab
+from qdistmat import closedforms, permlab
 from qdistmat.exactdet import det_bareiss
 from qdistmat.permlab import (
-    GenFunctionReport,
-    PermStats,
     Permutation,
-    generating_function_check,
     length_on_tree,
     m_closed,
     m_closed_table,
-    m_table_from_det,
     m_table_oracle,
     n_closed,
     n_closed_table,
@@ -25,7 +23,7 @@ from qdistmat.permlab import (
     sign,
 )
 from qdistmat.polyring import Poly, qbracket
-from qdistmat.qmatrix import build_dq
+from qdistmat.qmatrix import build_dq, build_dq_star
 from qdistmat.treekit import (
     all_pairs_distances,
     enumerate_trees,
@@ -63,22 +61,20 @@ def test_length_examples():
 
 
 def test_n_table_p3():
-    stats = n_table_oracle(path_tree(3, [1, 1]))
-    assert dict(stats.coeffs) == {0: 1, 2: -2, 4: 1}
-    assert stats.kind == "N" and stats.source == "oracle"
+    assert n_table_oracle(path_tree(3, [1, 1])) == Poly([1, 0, -2, 0, 1])
 
 
 def test_n_table_structure_independence_n4():
     s = n_table_oracle(star_tree(4, [1, 1, 1]))
     p = n_table_oracle(path_tree(4, [1, 1, 1]))
-    assert s.same_table(p)
+    assert s == p
 
 
 def test_n_table_sums_to_zero():
     rng = random.Random(3)
     for _ in range(20):
         t = random_tree(rng.randint(2, 7), 3, rng.getrandbits(63))
-        assert sum(n_table_oracle(t).coeffs.values()) == 0
+        assert sum(n_table_oracle(t).coeffs) == 0
 
 
 def test_n_closed_examples():
@@ -86,7 +82,7 @@ def test_n_closed_examples():
     assert n_closed(5, 3) == 0
     assert n_closed(4, 6) == -1
     assert n_closed(4, 8) == 0
-    assert n_closed_table(3) == {0: 1, 2: -2, 4: 1}
+    assert n_closed_table(3) == Poly([1, 0, -2, 0, 1])
 
 
 def test_phi_count_fixed_point():
@@ -110,43 +106,41 @@ def test_phi_dual_oracles():
 
 
 def test_m_table_p3():
-    stats = m_table_oracle(path_tree(3, [1, 1]))
-    assert dict(stats.coeffs) == {0: 2, 1: 2}
+    assert m_table_oracle(path_tree(3, [1, 1])) == Poly([2, 2])
 
 
 def test_m_table_n4_both_shapes():
     for t in (path_tree(4, [1, 1, 1]), star_tree(4, [1, 1, 1])):
-        assert dict(m_table_oracle(t).coeffs) == {0: -3, 1: -6, 2: -3}
+        assert m_table_oracle(t) == Poly([-3, -6, -3])
 
 
 def test_m_table_matches_determinant_weighted():
     rng = random.Random(10)
     for _ in range(20):
         t = random_tree(rng.randint(2, 6), 3, rng.getrandbits(63))
-        oracle = m_table_oracle(t)
-        det = m_table_from_det(t)
-        assert oracle.same_table(det)
-        assert oracle.as_poly() == det_bareiss(build_dq(t))
+        assert m_table_oracle(t) == det_bareiss(build_dq(t)), t.edges
 
 
 def test_m_closed_examples():
     assert m_closed(3, 1) == 2
     assert m_closed(4, 1) == -6
     assert m_closed(2, 0) == -1
-    assert m_closed_table(4) == {0: -3, 1: -6, 2: -3}
+    assert m_closed_table(4) == Poly([-3, -6, -3])
 
 
-def _matches_closed(stats, closed):
-    top = max(stats.max_k(), max(closed, default=0))
-    return all(stats.coeff(k) == closed.get(k, 0) for k in range(top + 1))
+def test_closed_tables_match_product_forms():
+    # binomial coefficients on one side, (1 - q^2)^(n-1) and (1 + q)^(n-2) on the other
+    for n in range(2, 13):
+        assert n_closed_table(n) == closedforms.dq_star_simple(n), n
+        assert m_closed_table(n) == closedforms.dq_simple(n), n
 
 
 def test_closed_forms_match_oracles_exhaustive_small():
     for n in range(2, 6):
         nc, mc = n_closed_table(n), m_closed_table(n)
         for t in enumerate_trees(n):
-            assert _matches_closed(n_table_oracle(t), nc), t.edges
-            assert _matches_closed(m_table_oracle(t), mc), t.edges
+            assert n_table_oracle(t) == nc, t.edges
+            assert m_table_oracle(t) == mc, t.edges
 
 
 def test_closed_forms_match_oracles_random_78():
@@ -154,29 +148,28 @@ def test_closed_forms_match_oracles_random_78():
     for i in range(50):
         n = 7 + (i % 2)
         t = random_tree(n, 1, rng.getrandbits(63))
-        assert _matches_closed(n_table_oracle(t), n_closed_table(n)), t.edges
-        assert _matches_closed(m_table_oracle(t), m_closed_table(n)), t.edges
+        assert n_table_oracle(t) == n_closed_table(n), t.edges
+        assert m_table_oracle(t) == m_closed_table(n), t.edges
 
 
 def test_closed_forms_at_perm_cap():
     # the largest supported sweep: 362880 permutations
     t = random_tree(permlab.PERM_MAX_N, 1, seed=90)
-    assert _matches_closed(n_table_oracle(t), n_closed_table(t.n))
-    assert _matches_closed(m_table_oracle(t), m_closed_table(t.n))
+    assert n_table_oracle(t) == n_closed_table(t.n)
+    assert m_table_oracle(t) == m_closed_table(t.n)
 
 
 def test_n_odd_vanishes_simple():
     rng = random.Random(12)
     for _ in range(20):
         t = random_tree(rng.randint(2, 7), 1, rng.getrandbits(63))
-        stats = n_table_oracle(t)
-        assert all(k % 2 == 0 for k in stats.coeffs), t.edges
+        assert not any(n_table_oracle(t).coeffs[1::2]), t.edges
 
 
 def test_m_sum_is_graham_pollak():
     for n in range(2, 7):
         t = random_tree(n, 1, seed=n)
-        total = sum(m_table_oracle(t).coeffs.values())
+        total = sum(m_table_oracle(t).coeffs)
         assert total == -(n - 1) * (-2) ** (n - 2)
 
 
@@ -188,34 +181,47 @@ def test_perm_cap():
         m_table_oracle(t)
 
 
+def _generating_functions_hold(t):
+    return (n_table_oracle(t) == det_bareiss(build_dq_star(t))
+            and m_table_oracle(t) == det_bareiss(build_dq(t)))
+
+
 def test_generating_function_check():
-    rep = generating_function_check(path_tree(3, [1, 1]))
-    assert isinstance(rep, GenFunctionReport)
-    assert rep.ok and rep.n_ok and rep.m_ok
-    assert rep.n_det.as_poly() == Poly([1, 0, -2, 0, 1])
-    assert rep.m_det.as_poly() == Poly([2, 2])
+    t = path_tree(3, [1, 1])
+    assert _generating_functions_hold(t)
+    assert det_bareiss(build_dq_star(t)) == Poly([1, 0, -2, 0, 1])
+    assert det_bareiss(build_dq(t)) == Poly([2, 2])
 
 
 def test_generating_functions_random_weighted():
     rng = random.Random(14)
     for _ in range(15):
         t = random_tree(rng.randint(2, 7), 3, rng.getrandbits(63))
-        assert generating_function_check(t).ok, t.edges
+        assert _generating_functions_hold(t), t.edges
 
 
 def test_generating_functions_n2_weighted():
     alpha = 3
     t = from_edges(2, [(1, 2, alpha)])
-    rep = generating_function_check(t)
-    assert rep.n_oracle.as_poly() == Poly([1] + [0] * (2 * alpha - 1) + [-1])
-    assert rep.m_oracle.as_poly() == -(qbracket(alpha) * qbracket(alpha))
-    assert rep.ok
+    assert n_table_oracle(t) == Poly([1] + [0] * (2 * alpha - 1) + [-1])
+    assert m_table_oracle(t) == -(qbracket(alpha) * qbracket(alpha))
+    assert _generating_functions_hold(t)
 
 
-def test_permstats_serialization():
-    stats = PermStats("N", 3, {0: 1, 2: -2, 4: 1}, "oracle")
-    obj = stats.to_json_dict()
-    assert obj == {"kind": "N", "n": 3, "coeffs": {"0": 1, "2": -2, "4": 1},
-                   "source": "oracle"}
-    assert stats.to_csv_rows() == [(0, 1), (1, 0), (2, -2), (3, 0), (4, 1)]
-    assert stats.to_csv_rows(k_max=2) == [(0, 1), (1, 0), (2, -2)]
+def _imported_modules(source: str):
+    """Absolute names of every module an import in ``source`` can bind."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import in qdistmat/permlab.py resolves against qdistmat
+            base = ".".join(filter(None, ["qdistmat" if node.level else "", node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_oracle_imports_no_determinant_code():
+    # the oracle checks the elimination route, so it must not share its code
+    imported = set(_imported_modules(Path(permlab.__file__).read_text()))
+    assert "qdistmat.polyring" in imported
+    assert not imported & {"qdistmat.exactdet", "qdistmat.qmatrix"}
