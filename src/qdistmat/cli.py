@@ -435,8 +435,11 @@ def cmd_gen_tree(t, out_file, fmt):
     text = (json.dumps(tree_to_json_dict(t), indent=2) + "\n") if fmt == "json" \
         else tree_to_text(t)
     if out_file:
-        with open(out_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_file, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail_usage(f"cannot write {out_file}: {exc}")
     else:
         _echo(text, nl=False)
 

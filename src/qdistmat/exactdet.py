@@ -7,7 +7,8 @@ production path; cofactor expansion is the small-order oracle; iterated
     det(A) det(A with first+last rows/cols deleted)
         = det(NW minor) det(SE minor) - det(NE minor) det(SW minor)
 
-which also powers check_dodgson_identity.
+which check_dodgson_identity also evaluates, there on any two rows and
+columns i < j in place of the first and last.
 
 Bareiss runs in the kernel layer.  The compiled C kernel eliminates over
 polynomials in 64-bit words; the pure kernel, which also takes over when
@@ -113,8 +114,14 @@ def minor_det(m: PolyMatrix, rows: tuple[int, ...], cols: tuple[int, ...],
     return dets[key]
 
 
-def check_dodgson_identity(m: PolyMatrix, dets: Optional[dict] = None) -> bool:
+def check_dodgson_identity(m: PolyMatrix, dets: Optional[dict] = None,
+                           pair: Optional[tuple[int, int]] = None) -> bool:
     """Evaluate both sides of the condensation identity on a full matrix.
+
+    With m_{R,C} for m without the 1-based rows R and columns C, and i < j
+    the ``pair`` (default (1, n), the first and last):
+
+        det(m) det(m_{ij,ij}) = det(m_{i,i}) det(m_{j,j}) - det(m_{i,j}) det(m_{j,i}).
 
     Uses Bareiss determinants of the matrix and five minors; order must be
     at least 3.  ``dets``, as in ``minor_det``, lets a caller share these
@@ -123,12 +130,15 @@ def check_dodgson_identity(m: PolyMatrix, dets: Optional[dict] = None) -> bool:
     n = m.n
     if n < 3:
         raise ValueError("identity check needs order >= 3")
+    i, j = (1, n) if pair is None else pair
+    if not 1 <= i < j <= n:
+        raise ValueError(f"pair must be 1 <= i < j <= {n}, got {(i, j)}")
     if dets is None:
         dets = {}
 
     def det(rows, cols):
         return minor_det(m, rows, cols, dets)
 
-    lhs = det((), ()) * det((1, n), (1, n))
-    rhs = det((1,), (1,)) * det((n,), (n,)) - det((1,), (n,)) * det((n,), (1,))
+    lhs = det((), ()) * det((i, j), (i, j))
+    rhs = det((i,), (i,)) * det((j,), (j,)) - det((i,), (j,)) * det((j,), (i,))
     return lhs == rhs

@@ -8,8 +8,11 @@ in hand.  The suite checks
   for D and D + xJ, the product forms for D*_q and D_q);
 - on unit-weight trees, Graham-Pollak and the two simple-tree corollaries;
 - from n = 3, the condensation identity on D_q and the corner-minor
-  formula, and from n = 4 the four-term recurrence, on D_q of the tree
-  relabelled so that v_1 and v_n are pendant;
+  formula, and from n = 4 the four-term recurrence, on minors of the same
+  D_q at the tree's smallest and largest leaf labels u < v.  The paper
+  states the last two with v_1 and v_n pendant; relabelling u -> 1 and
+  v -> n conjugates D_q by a permutation, which keeps principal minors
+  and moves the (u, v) cofactor to (1, n) unchanged;
 - up to n = 8, the generating-function identities: the brute-force
   permutation tables N and M against det D*_q and det D_q.
 """
@@ -22,7 +25,7 @@ from . import closedforms, permlab
 from .exactdet import check_dodgson_identity, det_bareiss, minor_det
 from .polyring import Poly, qbracket
 from .qmatrix import PolyMatrix, build_d, build_d_plus_xJ, build_dq, build_dq_star
-from .treekit import WeightedTree, pendant_first_last
+from .treekit import WeightedTree
 
 __all__ = ["DetCheck", "det_checks", "identity_suite"]
 
@@ -69,23 +72,22 @@ def identity_suite(t: WeightedTree) -> tuple[list[tuple[str, bool]], tuple[Poly,
     if n >= 3:
         dq = checks[3].matrix
         dets = {((), ()): det_dq}
-        results.append(("dodgson_identity", check_dodgson_identity(dq, dets)))
-        tt = pendant_first_last(t, seed=n)
-        if tt is not t:
-            dq, dets = build_dq(tt), {}
-        first = next(w for (u, v, w) in tt.edges if 1 in (u, v))
-        last = next(w for (u, v, w) in tt.edges if n in (u, v))
-        rest = [w for (u, v, w) in tt.edges if 1 not in (u, v) and n not in (u, v)]
-        corner = minor_det(dq, (1,), (n,), dets)
+        leaves = t.pendant_vertices()
+        u, v = leaves[0], leaves[-1]
+        results.append(("dodgson_identity", check_dodgson_identity(dq, dets, (u, v))))
+        (_, w_u), = t.adjacency()[u]
+        (_, w_v), = t.adjacency()[v]
+        rest = [w for (a, b, w) in t.edges if u not in (a, b) and v not in (a, b)]
+        corner = (-1) ** (u + v + n + 1) * minor_det(dq, (u,), (v,), dets)
         results.append(
-            ("corner_minor", corner == closedforms.corner_minor_closed(first, last, rest))
+            ("corner_minor", corner == closedforms.corner_minor_closed(w_u, w_v, rest))
         )
         if n >= 4:
             lhs = (
-                minor_det(dq, (), (), dets)
-                + qbracket(2 * first) * minor_det(dq, (1,), (1,), dets)
-                + qbracket(2 * last) * minor_det(dq, (n,), (n,), dets)
-                + qbracket(2 * first) * qbracket(2 * last) * minor_det(dq, (1, n), (1, n), dets)
+                det_dq
+                + qbracket(2 * w_u) * minor_det(dq, (u,), (u,), dets)
+                + qbracket(2 * w_v) * minor_det(dq, (v,), (v,), dets)
+                + qbracket(2 * w_u) * qbracket(2 * w_v) * minor_det(dq, (u, v), (u, v), dets)
             )
             results.append(("recurrence16", not lhs))
     if n <= 8:

@@ -352,11 +352,20 @@ def tree_to_json_dict(t: WeightedTree) -> dict:
 
 
 def tree_from_json_dict(obj: dict) -> WeightedTree:
+    """Read {"n": int, "edges": [[u, v, w], ...]}; every number a JSON integer.
+
+    A float, bool or string is rejected rather than truncated or coerced,
+    as the text format rejects "1 2 1.0".
+    """
+    shape = "tree JSON must be {'n': int, 'edges': [[u,v,w],...]}"
     try:
-        n = int(obj["n"])
-        edges = [(int(u), int(v), int(w)) for u, v, w in obj["edges"]]
+        n = obj["n"]
+        edges = [(u, v, w) for u, v, w in obj["edges"]]
     except (KeyError, TypeError, ValueError):
-        raise InvalidTreeError("format", "tree JSON must be {'n': int, 'edges': [[u,v,w],...]}")
+        raise InvalidTreeError("format", shape)
+    for x in (n, *(x for e in edges for x in e)):
+        if type(x) is not int:
+            raise InvalidTreeError("format", f"{shape}, got non-integer {json.dumps(x)}")
     return WeightedTree(n, edges)
 
 
@@ -368,7 +377,8 @@ def load_tree(path: str) -> WeightedTree:
     if stripped.startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # the decoder recurses once per nesting level
             raise InvalidTreeError("format", f"bad JSON tree file: {exc}")
         return tree_from_json_dict(obj)
     return parse_tree_text(text)

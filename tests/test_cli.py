@@ -73,6 +73,10 @@ def test_det_rejects_cycle_file(runner, tmp_path):
     assert result.exit_code == 2
 
 
+class JsonTree(str):
+    """A tree file's JSON text, written to a file whose path replaces it."""
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "--random", "5", "--max-weight", "0"],
     ["det", "--random", "3", "--max-weight", "0"],
@@ -85,13 +89,36 @@ def test_det_rejects_cycle_file(runner, tmp_path):
     ["det", "--random", "3", "--max-weight", "100000000000"],
     ["verify", "--random", "3", "--max-weight", "100000000000"],
     ["wiener", "--path", "3", "--weights", "6000 5000"],
+    # a JSON tree file takes only JSON integers (not bool) for n and edge fields
+    ["det", "--tree", JsonTree('{"n": 2, "edges": [[1, 2, 1e400]]}')],
+    ["det", "--tree", JsonTree('{"n": 1e400, "edges": [[1, 2, 1]]}')],
+    ["det", "--tree", JsonTree('{"n": 2, "edges": [[1, 2, 1.5]]}')],
+    ["det", "--tree", JsonTree('{"n": 2.0, "edges": [[1, 2, 1]]}')],
+    ["det", "--tree", JsonTree('{"n": 3, "edges": [[1, 2, 1], [true, 3, 1]]}')],
+    ["det", "--tree", JsonTree('{"n": 2, "edges": [[1, "2", 1]]}')],
+    ["gen-tree", "--tree", JsonTree('{"n": 3, "edges": [[1, 2, 2.0], [2, 3, 1]]}')],
+    ["det", "--tree", JsonTree('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")],
 ])
-def test_bad_tree_input_exits_2(runner, args):
+def test_bad_tree_input_exits_2(runner, tmp_path, args):
+    args = list(args)
+    for i, arg in enumerate(args):
+        if isinstance(arg, JsonTree):
+            path = tmp_path / "tree.json"
+            path.write_text(arg)
+            args[i] = str(path)
     result = runner.invoke(cli.main, args)
     assert result.exit_code == 2
     assert "error:" in result.stderr
     assert "Traceback" not in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_gen_tree_unwritable_out_exits_2(runner, tmp_path):
+    for out in (tmp_path / "missing" / "tree.txt", tmp_path):
+        result = runner.invoke(cli.main, ["gen-tree", "--path", "3", "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_det_empty_path_names_vertex_bound(runner):

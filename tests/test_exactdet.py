@@ -149,6 +149,32 @@ def test_dodgson_identity_order_guard():
         check_dodgson_identity(ints([[1, 2], [3, 4]]))
 
 
+def test_dodgson_identity_on_every_pair():
+    rng = random.Random(45)
+    for n in range(3, 6):
+        for _ in range(20):
+            m = propcheck.random_int_matrix(rng, n)
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    dets = {}
+                    assert check_dodgson_identity(m, dets, (i, j))
+                    # it condenses on rows and columns i and j, and on no others
+                    assert set(dets) == {
+                        ((), ()), ((i,), (i,)), ((j,), (j,)), ((i,), (j,)), ((j,), (i,)),
+                        ((i, j), (i, j)),
+                    }
+                    for (rows, cols), value in dets.items():
+                        sub = minor(m, rows, cols) if rows else m
+                        assert value == det_cofactor(sub)
+    m = propcheck.random_int_matrix(rng, 4)
+    default, first_last = {}, {}
+    assert check_dodgson_identity(m, default) and check_dodgson_identity(m, first_last, (1, 4))
+    assert default == first_last
+    for bad in ((2, 2), (3, 2), (0, 2), (1, 5)):
+        with pytest.raises(ValueError):
+            check_dodgson_identity(m, pair=bad)
+
+
 def test_bareiss_big_coefficients_fall_back_exactly():
     # entries far beyond 64 bits exercise the pure path through the
     # same public function

@@ -2,10 +2,17 @@
 
 import pytest
 
-from qdistmat import _kernels, identities
+from qdistmat import _kernels, closedforms, identities
 from qdistmat.exactdet import det_bareiss
-from qdistmat.qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star
-from qdistmat.treekit import from_edges, path_tree, random_tree
+from qdistmat.polyring import qbracket
+from qdistmat.qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star, minor
+from qdistmat.treekit import (
+    enumerate_trees,
+    from_edges,
+    path_tree,
+    pendant_first_last,
+    random_tree,
+)
 
 BUILDERS = ("build_d", "build_d_plus_xJ", "build_dq_star", "build_dq")
 
@@ -65,12 +72,47 @@ def test_each_matrix_and_determinant_once(monkeypatch):
         assert all(ok for _, ok in results), results
         return dict(calls)
 
-    # v_1 has degree 2, so the pendant-relabelled tree needs its own D_q
+    # v_1 has degree 2: the pendant checks take the leaf pair (2, 6)
     t = from_edges(6, [(1, 2, 2), (1, 3, 1), (3, 4, 3), (4, 5, 1), (5, 6, 2)])
     assert 1 not in t.pendant_vertices()
-    got = work(t)
-    assert got["dets"] <= 15 and got["builds"] <= 5, got
-    # v_1 and v_n of a path are pendant: corner minor and recurrence reuse
-    # the condensation identity's minors
-    got = work(path_tree(6, [2, 1, 3, 1, 2]))
-    assert got["dets"] <= 9 and got["builds"] <= 4, got
+    assert work(t) == {"dets": 9, "builds": 4}
+    # v_1 and v_n of a path are pendant: the leaf pair is (1, n)
+    assert work(path_tree(6, [2, 1, 3, 1, 2])) == {"dets": 9, "builds": 4}
+
+
+def literal_pendant_checks(t):
+    """Corner minor and recurrence on D_q of the tree relabelled so that
+    v_1 and v_n are pendant, as the paper states them."""
+    n = t.n
+    tt = pendant_first_last(t, seed=n)
+    dq = build_dq(tt)
+    first = next(w for (u, v, w) in tt.edges if 1 in (u, v))
+    last = next(w for (u, v, w) in tt.edges if n in (u, v))
+    rest = [w for (u, v, w) in tt.edges if 1 not in (u, v) and n not in (u, v)]
+    got = {"corner_minor": det_bareiss(minor(dq, {1}, {n}))
+           == closedforms.corner_minor_closed(first, last, rest)}
+    if n >= 4:
+        got["recurrence16"] = not (
+            det_bareiss(dq)
+            + qbracket(2 * first) * det_bareiss(minor(dq, {1}, {1}))
+            + qbracket(2 * last) * det_bareiss(minor(dq, {n}, {n}))
+            + qbracket(2 * first) * qbracket(2 * last) * det_bareiss(minor(dq, {1, n}, {1, n}))
+        )
+    return got
+
+
+def test_pendant_checks_match_the_relabelled_route():
+    trees = [t for n in range(3, 6) for t in enumerate_trees(n)]
+    trees += [random_tree(n, 4, seed) for n in range(4, 8) for seed in range(6)]
+    parities = set()
+    for t in trees:
+        leaves = t.pendant_vertices()
+        u, v = leaves[0], leaves[-1]
+        if t.weights != (1,) * (t.n - 1) and (u, v) != (1, t.n):
+            parities.add((u + v + t.n + 1) % 2)
+        results, _ = identities.identity_suite(t)
+        got = {name: ok for name, ok in results if name in ("corner_minor", "recurrence16")}
+        want = literal_pendant_checks(t)
+        assert got == want and all(want.values()), (t, got, want)
+    # weighted trees off (1, n) with the cofactor's sign both + and -
+    assert parities == {0, 1}

@@ -19,7 +19,7 @@ from qdistmat.exactdet import det_cofactor
 from qdistmat.identities import identity_suite
 from qdistmat.polyring import Poly
 from qdistmat.qmatrix import PolyMatrix, build_d, build_dq_star
-from qdistmat.treekit import path_tree, random_tree, star_tree
+from qdistmat.treekit import from_edges, path_tree, random_tree, star_tree
 
 COMPILED = ("poly_mul", "bareiss_det", "perm_n_table", "perm_m_coeffs")
 
@@ -114,7 +114,9 @@ def test_perm_short_table_raises(speedups):
     random_tree(6, 1, 2),
     random_tree(7, 4, 3),
     random_tree(8, 3, 4),
-], ids=["path5", "star4-weighted", "unit6", "weighted7", "weighted8"])
+    # leaf pair (2, 6): the corner minor is a cofactor of sign -1
+    from_edges(6, [(1, 2, 2), (1, 3, 1), (3, 4, 3), (4, 5, 1), (5, 6, 2)]),
+], ids=["path5", "star4-weighted", "unit6", "weighted7", "weighted8", "leaves2-6"])
 def test_dispatcher_compiled_matches_pure(monkeypatch, speedups, t):
     monkeypatch.setattr(_kernels, "_speedups", None)
     want = identity_suite(t)
