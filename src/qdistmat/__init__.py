@@ -7,7 +7,7 @@ permutation statistics.
 """
 
 from ._kernels import BACKEND as kernel_backend
-from .polyring import ExactDivisionError, Poly, qbracket, qpower
+from .polyring import Poly, qbracket, qpower
 from .treekit import (
     DistanceTable,
     InvalidTreeError,
@@ -21,14 +21,13 @@ from .treekit import (
     star_tree,
 )
 from .qmatrix import PolyMatrix, build_d, build_d_plus_xJ, build_dq, build_dq_star, minor
-from .exactdet import check_dodgson_identity, det_bareiss, det_cofactor, dodgson
+from .exactdet import check_dodgson_identity, det_bareiss, det_cofactor
 
 __version__ = "0.1.0"
 
 __all__ = [
     "kernel_backend",
     "Poly",
-    "ExactDivisionError",
     "qbracket",
     "qpower",
     "WeightedTree",
@@ -49,6 +48,5 @@ __all__ = [
     "minor",
     "det_bareiss",
     "det_cofactor",
-    "dodgson",
     "check_dodgson_identity",
 ]

@@ -5,8 +5,7 @@ built by ``setup.py`` when a C compiler is present) accelerates the hot
 inner loops with machine-word arithmetic and overflow detection; whenever a
 computation cannot be carried out safely in 64-bit words it returns None and
 the pure-Python kernel takes over, so results never depend on which backend
-ran.  Set ``QDISTMAT_PURE=1`` to force the pure backend.  ``poly_exact_div``
-has no compiled version: only Dodgson condensation calls it.
+ran.  Set ``QDISTMAT_PURE=1`` to force the pure backend.
 
 The pure ``bareiss_det`` is a Kronecker-substitution determinant: entries
 are evaluated at q = 2^b, one fraction-free integer elimination follows,
@@ -35,7 +34,6 @@ BACKEND = "compiled" if _speedups is not None else "pure"
 __all__ = [
     "BACKEND",
     "poly_mul",
-    "poly_exact_div",
     "bareiss_det",
     "perm_n_table",
     "perm_m_coeffs",
@@ -66,8 +64,3 @@ poly_mul = _dispatch("poly_mul")
 bareiss_det = _dispatch("bareiss_det")
 perm_n_table = _dispatch("perm_n_table")
 perm_m_coeffs = _dispatch("perm_m_coeffs")
-
-
-def poly_exact_div(a, b):
-    """Exact quotient of canonical coefficient sequences (pure kernel only)."""
-    return _pure.poly_exact_div(a, b)

@@ -5,8 +5,7 @@ little-endian by degree, plain Python ints, and canonical, so the last
 entry is nonzero and the zero polynomial is empty.  Results are lists.
 The compiled module ``_speedups`` (hand-written C) implements
 ``poly_mul``, ``bareiss_det``, ``perm_n_table`` and ``perm_m_coeffs`` with
-machine-word fast paths; results must be identical.  ``poly_exact_div`` is
-pure only.
+machine-word fast paths; results must be identical.
 
 ``bareiss_det`` does not eliminate over polynomials: it packs each entry
 into one integer by Kronecker substitution (q = 2^b), runs integer
@@ -23,7 +22,6 @@ import math
 
 __all__ = [
     "poly_mul",
-    "poly_exact_div",
     "bareiss_det",
     "perm_n_table",
     "perm_m_coeffs",
@@ -48,36 +46,6 @@ def poly_mul(a, b):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out  # leading product of nonzeros is nonzero over the integers
-
-
-def poly_exact_div(a, b):
-    """Exact quotient a / b in the integer polynomial ring.
-
-    Raises ZeroDivisionError if b is zero, ValueError if b does not divide
-    a exactly (which callers treat as an internal invariant violation).
-    """
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return []
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        raise ValueError("not exactly divisible")
-    rem = list(a)
-    lead = b[-1]
-    quot = [0] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        c = rem[k + db]
-        if c:
-            coef, r = divmod(c, lead)
-            if r:
-                raise ValueError("not exactly divisible")
-            quot[k] = coef
-            for j in range(db + 1):
-                rem[k + j] -= coef * b[j]
-    if any(rem):
-        raise ValueError("not exactly divisible")
-    return quot
 
 
 def bareiss_det(rows):

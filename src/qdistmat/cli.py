@@ -153,7 +153,7 @@ def resolve_tree(tree_file, prufer_seq, random_n, path_n, star_n,
         try:
             return load_tree(tree_file)
         except OSError as exc:
-            raise click.UsageError(f"cannot read {tree_file}: {exc}")
+            _fail_usage(f"cannot read {tree_file}: {exc}")
     if prufer_seq is not None:
         seq = _parse_ints(prufer_seq, "--prufer") if prufer_seq.strip() else []
         n = len(seq) + 2

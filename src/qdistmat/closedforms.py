@@ -3,9 +3,9 @@
 Every formula depends only on the multiset of edge weights (or only on the
 vertex count), never on the tree shape; the test suite checks each one
 against the corresponding exact determinant.  All arithmetic stays in the
-integer polynomial ring: the per-pair terms of the structure-independent
-bracket formula are assembled in cleared form, multiplying by the
-complementary bracket product instead of ever dividing.
+integer polynomial ring.  The bracket determinant det D_q is one sum over
+the edges, equal to the paper's sum over pairs of edges (see
+``dq_closed``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "bkn_det",
     "dq_star_closed",
     "dq_closed",
-    "f_cleared",
     "corner_minor_closed",
     "dq_star_simple",
     "dq_simple",
@@ -29,10 +28,10 @@ __all__ = [
 WeightMultiset = Sequence[int]
 
 
-def _check_weights(weights: WeightMultiset, minimum: int = 1) -> tuple[int, ...]:
+def _check_weights(weights: WeightMultiset) -> tuple[int, ...]:
     ws = tuple(int(w) for w in weights)
-    if len(ws) < minimum:
-        raise ValueError(f"need at least {minimum} edge weights, got {len(ws)}")
+    if not ws:
+        raise ValueError("need at least 1 edge weight")
     if any(w < 1 for w in ws):
         raise ValueError("edge weights must be positive integers")
     return ws
@@ -79,44 +78,33 @@ def dq_star_closed(weights: WeightMultiset) -> Poly:
     return acc
 
 
-def _ring_pairs(m: int) -> list[tuple[int, int]]:
-    # 0-based index pairs of the structure-independent sum for m >= 3 weights:
-    # (1,2), (n-2,n-1), and (i,i+2) for i = 1..n-3 in the 1-based layout
-    pairs = [(0, 1), (m - 2, m - 1)]
-    pairs.extend((i, i + 2) for i in range(m - 2))
-    return pairs
-
-
-def f_cleared(weights: WeightMultiset) -> Poly:
-    """Cleared form of the symmetric per-pair sum (needs >= 3 weights).
-
-    Sum over the index pairs of [w_i][w_j][w_i + w_j] times the product of
-    [2 w_k] over all other k; symmetric in the weights despite the
-    asymmetric-looking pair layout.
-    """
-    ws = _check_weights(weights, minimum=3)
-    m = len(ws)
-    acc = Poly()
-    for i, j in _ring_pairs(m):
-        term = qbracket(ws[i]) * qbracket(ws[j]) * qbracket(ws[i] + ws[j])
-        for k in range(m):
-            if k != i and k != j:
-                term = term * qbracket(2 * ws[k])
-        acc = acc + term
-    return acc
-
-
 def dq_closed(weights: WeightMultiset) -> Poly:
-    """det of the bracket q-distance matrix, from the weight multiset alone."""
+    """det of the bracket q-distance matrix, from the weight multiset alone.
+
+    For a tree with n vertices and edge weights w_1, ..., w_m (m = n - 1):
+
+        det D_q = (-1)^(n-1) sum_e [w_e]^2 prod_{e' != e} [2 w_e'],
+
+    accumulated in one pass over the weights with four products per edge.
+
+    The paper states it for n >= 4 as (-1)^(n-1) times a sum over m index
+    pairs, (1,2), (m-1,m) and (i,i+2) for i = 1..m-2, of
+    [w_i][w_j][w_i + w_j] prod_{k != i,j} [2 w_k], with separate formulas
+    -[w_1]^2 for n = 2 and 2[w_1][w_2][w_1 + w_2] for n = 3.  Every index
+    lies in exactly two of those pairs.  With y_k = 1 + q^(w_k),
+    [2w] = [w] y and (1-q)[a+b] = y_a + y_b - y_a y_b, so the pair term is
+    prod [w] / (1-q) * prod y * (1/y_i + 1/y_j - 1).  Summed over the pairs
+    this is prod [w] prod y / (1-q) * sum_k (2 - y_k) / y_k, and since
+    2 - y_k = (1-q)[w_k] it equals sum_k [w_k]^2 prod_{l != k} [2 w_l].
+    The sum gives the n = 2 and n = 3 formulas as well.
+    """
     ws = _check_weights(weights)
-    n = len(ws) + 1
-    if n == 2:
-        b = qbracket(ws[0])
-        return -(b * b)
-    if n == 3:
-        return 2 * (qbracket(ws[0]) * qbracket(ws[1]) * qbracket(ws[0] + ws[1]))
-    f = f_cleared(ws)
-    return f if n % 2 else -f
+    acc, prod = Poly(), ONE
+    for w in ws:
+        b, b2 = qbracket(w), qbracket(2 * w)
+        acc = acc * b2 + b * b * prod
+        prod = prod * b2
+    return acc if len(ws) % 2 == 0 else -acc
 
 
 def corner_minor_closed(w_first: int, w_last: int, w_rest: WeightMultiset) -> Poly:

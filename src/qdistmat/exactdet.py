@@ -1,14 +1,14 @@
 """Exact determinants over the integer polynomial ring.
 
-Three routes with different jobs: fraction-free Bareiss elimination is the
-production path; cofactor expansion is the small-order oracle; iterated
-2x2 condensation exercises the classical determinant identity
+Two routes with different jobs: fraction-free Bareiss elimination is the
+production path and cofactor expansion is the small-order oracle.
+check_dodgson_identity evaluates both sides of the condensation identity
+(the paper's Dodgson rule) with Bareiss determinants of minors:
 
-    det(A) det(A with first+last rows/cols deleted)
-        = det(NW minor) det(SE minor) - det(NE minor) det(SW minor)
+    det(A) det(A with rows/cols i, j deleted)
+        = det(A_{i,i}) det(A_{j,j}) - det(A_{i,j}) det(A_{j,i})
 
-which check_dodgson_identity also evaluates, there on any two rows and
-columns i < j in place of the first and last.
+for any two rows and columns i < j, by default the first and last.
 
 Bareiss runs in the kernel layer.  The compiled C kernel eliminates over
 polynomials in 64-bit words; the pure kernel, which also takes over when
@@ -32,7 +32,6 @@ from .qmatrix import PolyMatrix, minor
 __all__ = [
     "det_bareiss",
     "det_cofactor",
-    "dodgson",
     "check_dodgson_identity",
     "minor_det",
     "COFACTOR_MAX_ORDER",
@@ -71,33 +70,6 @@ def _cofactor(rows) -> Poly:
         term = _make(a) * _cofactor(sub)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
-
-
-def dodgson(m: PolyMatrix) -> Optional[Poly]:
-    """Determinant by iterated condensation, or None when inapplicable.
-
-    Each step replaces a k x k matrix by the (k-1) x (k-1) matrix of its
-    connected 2x2 minors, divided entrywise by the interior of the matrix
-    two steps back.  A zero divisor makes the scheme inapplicable (returned
-    as None, not an error); a nonzero divisor that fails to divide exactly
-    would be a bug and raises.
-    """
-    n = m.n
-    one = _make((1,))
-    prev = [[one] * (n + 1) for _ in range(n + 1)]
-    cur = [[_make(e) for e in row] for row in m.rows]
-    while len(cur) > 1:
-        k = len(cur)
-        nxt = [[None] * (k - 1) for _ in range(k - 1)]
-        for i in range(k - 1):
-            for j in range(k - 1):
-                num = cur[i][j] * cur[i + 1][j + 1] - cur[i][j + 1] * cur[i + 1][j]
-                div = prev[i + 1][j + 1]
-                if not div:
-                    return None
-                nxt[i][j] = num.exact_div(div)
-        prev, cur = cur, nxt
-    return cur[0][0]
 
 
 def minor_det(m: PolyMatrix, rows: tuple[int, ...], cols: tuple[int, ...],

@@ -5,7 +5,8 @@ of their determinants is taken once; every check compares values already
 in hand.  The suite checks
 
 - the four determinants against their closed forms (Bapat-Kirkland-Neumann
-  for D and D + xJ, the product forms for D*_q and D_q);
+  for D and D + xJ, a product over the edges for D*_q and a sum over the
+  edges for D_q);
 - on unit-weight trees, Graham-Pollak and the two simple-tree corollaries;
 - from n = 3, the condensation identity on D_q and the corner-minor
   formula, and from n = 4 the four-term recurrence, on minors of the same

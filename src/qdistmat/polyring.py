@@ -20,7 +20,6 @@ from . import _kernels
 
 __all__ = [
     "Poly",
-    "ExactDivisionError",
     "qbracket",
     "qpower",
     "ZERO",
@@ -30,14 +29,6 @@ __all__ = [
 ]
 
 NEG_INF = float("-inf")
-
-
-class ExactDivisionError(ArithmeticError):
-    """A division that the calling algorithm guarantees exact was not.
-
-    This signals a bug in the caller (e.g. a broken elimination invariant),
-    not bad user input.
-    """
 
 
 def _make(coeffs) -> "Poly":
@@ -118,21 +109,6 @@ class Poly:
             base = base * base
             n >>= 1
         return result
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        """Quotient self / other, guaranteed exact by the caller."""
-        other = _coerce(other)
-        if other is NotImplemented:
-            raise TypeError("exact_div expects a Poly or int")
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        try:
-            q = _kernels.poly_exact_div(self.coeffs, other.coeffs)
-        except ValueError as exc:
-            raise ExactDivisionError(
-                f"{self!s} is not divisible by {other!s}"
-            ) from exc
-        return _make(q)
 
     # -- queries ---------------------------------------------------------
 

@@ -121,6 +121,15 @@ def test_gen_tree_unwritable_out_exits_2(runner, tmp_path):
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def test_det_unreadable_tree_exits_2(runner, tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        result = runner.invoke(cli.main, ["det", "--tree", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: cannot read {path}: ")
+        assert "Usage:" not in result.stderr
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_det_empty_path_names_vertex_bound(runner):
     for source in ("--path", "--star"):
         result = runner.invoke(cli.main, ["det", source, "0"])

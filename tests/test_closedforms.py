@@ -60,32 +60,74 @@ def test_dq_closed_small_cases():
     assert cf.dq_closed([2, 3]) == 2 * (qbracket(2) * qbracket(3) * qbracket(5))
 
 
+def f_cleared(weights):
+    """The paper's sum over index pairs, in cleared form (needs >= 3 weights).
+
+    Sum over the pairs (1,2), (m-1,m) and (i,i+2), i = 1..m-2, of
+    [w_i][w_j][w_i + w_j] times the product of [2 w_k] over all other k.
+    """
+    ws = tuple(weights)
+    m = len(ws)
+    if m < 3:
+        raise ValueError(f"need at least 3 edge weights, got {m}")
+    pairs = [(0, 1), (m - 2, m - 1)] + [(i, i + 2) for i in range(m - 2)]
+    acc = Poly()
+    for i, j in pairs:
+        term = qbracket(ws[i]) * qbracket(ws[j]) * qbracket(ws[i] + ws[j])
+        for k in range(m):
+            if k != i and k != j:
+                term = term * qbracket(2 * ws[k])
+        acc = acc + term
+    return acc
+
+
+def paper_dq(weights):
+    """det D_q as the paper states it: n = 2, n = 3, and the pair sum beyond."""
+    ws = tuple(weights)
+    n = len(ws) + 1
+    if n == 2:
+        return -(qbracket(ws[0]) * qbracket(ws[0]))
+    if n == 3:
+        return 2 * (qbracket(ws[0]) * qbracket(ws[1]) * qbracket(ws[0] + ws[1]))
+    f = f_cleared(ws)
+    return f if n % 2 else -f
+
+
 def test_f_cleared():
-    assert cf.f_cleared([1, 1, 1]) == 3 * (Poly([1, 1]) ** 2)
-    for ws in ([1, 2, 3, 1], [2, 2, 3]):
-        n = len(ws) + 1
-        expected = cf.f_cleared(ws) if n % 2 else -cf.f_cleared(ws)
-        assert cf.dq_closed(ws) == expected
+    assert f_cleared([1, 1, 1]) == 3 * (Poly([1, 1]) ** 2)
     with pytest.raises(ValueError):
-        cf.f_cleared([1, 2])
+        f_cleared([1, 2])
+
+
+def test_dq_closed_matches_paper_exhaustive():
+    for m in range(1, 7):
+        for ws in itertools.product(range(1, 5), repeat=m):
+            assert cf.dq_closed(ws) == paper_dq(ws), ws
+
+
+def test_dq_closed_matches_paper_seeded():
+    rng = random.Random(11)
+    for _ in range(30):
+        ws = [rng.randint(1, 12) for _ in range(rng.randint(1, 25))]
+        assert cf.dq_closed(ws) == paper_dq(ws), ws
 
 
 def test_f_cleared_symmetry_exhaustive():
     for ws in ([1, 2, 3], [1, 2, 3, 4]):
-        base = cf.f_cleared(ws)
+        base = cf.dq_closed(ws)
         for perm in itertools.permutations(ws):
-            assert cf.f_cleared(perm) == base
+            assert cf.dq_closed(perm) == base
 
 
 def test_f_cleared_symmetry_sampled():
     rng = random.Random(7)
     for length in (5, 6, 7):
         ws = [rng.randint(1, 4) for _ in range(length)]
-        base = cf.f_cleared(ws)
+        base = cf.dq_closed(ws)
         for _ in range(10):
             perm = ws[:]
             rng.shuffle(perm)
-            assert cf.f_cleared(perm) == base
+            assert cf.dq_closed(perm) == base
 
 
 def test_corner_minor_closed_examples():

@@ -10,7 +10,6 @@ from qdistmat.exactdet import (
     check_dodgson_identity,
     det_bareiss,
     det_cofactor,
-    dodgson,
 )
 from qdistmat import _kernels, closedforms
 from qdistmat.polyring import Poly, qbracket
@@ -95,36 +94,6 @@ def test_transpose_invariance():
         t = random_tree(rng.randint(3, 7), 4, rng.getrandbits(63))
         dq = build_dq(t)
         assert det_bareiss(minor(dq, {1}, {t.n})) == det_bareiss(minor(dq, {t.n}, {1}))
-
-
-def test_dodgson_base_cases():
-    a, b, c, d = (Poly([x]) for x in (3, -2, 7, 5))
-    m = PolyMatrix([[a, b], [c, d]])
-    assert dodgson(m) == Poly([3 * 5 - (-2) * 7])
-    assert dodgson(PolyMatrix([[Poly([9])]])) == Poly([9])
-
-
-def test_dodgson_on_tree_matrices():
-    # the bracket q-distance matrix of the unit path on 4 vertices has
-    # zeros in its interior, so condensation is inapplicable; the value
-    # the scheme cannot reach is still checked through Bareiss
-    p4 = build_dq(path_tree(4, [1, 1, 1]))
-    assert dodgson(p4) is None
-    assert det_bareiss(p4) == Poly([-3, -6, -3])
-    assert dodgson(build_d(path_tree(3, [1, 1]))) is None
-
-
-def test_dodgson_agrees_when_applicable():
-    rng = random.Random(21)
-    hits = 0
-    for _ in range(300):
-        n = rng.randint(2, 5)
-        m = propcheck.random_int_matrix(rng, n)
-        got = dodgson(m)
-        if got is not None:
-            hits += 1
-            assert got == det_bareiss(m)
-    assert hits > 200  # generic matrices rarely have zero interiors
 
 
 def test_dodgson_identity_examples():

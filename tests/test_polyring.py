@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import propcheck
 from qdistmat.polyring import (
     NEG_INF,
-    ExactDivisionError,
     Poly,
     ZERO,
     qbracket,
@@ -57,21 +56,6 @@ def test_int_operands():
     assert 2 * Poly([1, 1]) == Poly([2, 2])
     assert Poly([1, 1]) + 1 == Poly([2, 1])
     assert 1 - Poly([0, 0, 1]) == Poly([1, 0, -1])
-
-
-def test_exact_div_examples():
-    assert (Poly([1]) - qpower(4)).exact_div(Poly([1]) - qpower(2)) == Poly([1, 0, 1])
-    assert ZERO.exact_div(Poly([1, 1])) == ZERO
-    assert Poly([2, 4, 2]).exact_div(Poly([1, 1])) == Poly([2, 2])
-
-
-def test_exact_div_errors():
-    with pytest.raises(ExactDivisionError):
-        Poly([1, 1, 1]).exact_div(Poly([1, 1]))
-    with pytest.raises(ExactDivisionError):
-        Poly([3]).exact_div(Poly([2]))
-    with pytest.raises(ZeroDivisionError):
-        Poly([1]).exact_div(ZERO)
 
 
 def test_qbracket_examples():
@@ -156,10 +140,6 @@ def test_bracket_recurrence():
 
 def test_telescoping():
     propcheck.check_telescoping()
-
-
-def test_exact_div_round_trip_seeded():
-    propcheck.check_exact_div_roundtrip()
 
 
 def test_bracket_eval_at_one():
