@@ -2,15 +2,17 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Workloads mirror the verification sweeps: bracket-matrix determinants,
-permutation-table accumulation, and raw polynomial products, plus one
-n = 24 q-distance determinant, where the compiled kernel overflows and
-hands the matrix to the pure one.  Each time is the best of five
-``timeit`` repeats, each repeat long enough for ``Timer.autorange``, per
-call; a workload so slow that a repeat is a single call takes the best of
-nine.  The kernels read matrices and distance tables as the package
-stores them, rows of coefficient tuples and rows of ints.  Build the C
-extension in place first (a C compiler and the Python headers are
-needed); without it only the pure column is printed:
+permutation-table accumulation, and raw polynomial products, plus the
+q-distance matrix D_q of one n = 24 tree, where the compiled kernel
+overflows and hands the matrix to the pure one, and the D*_q of the same
+tree, which the compiled kernel takes to the end.  Each time is the best
+of five ``timeit`` repeats, each repeat long enough for
+``Timer.autorange``, per call; a workload so slow that a repeat is a
+single call takes the best of nine.  The kernels read matrices and
+distance tables as the package stores them, rows of coefficient tuples
+and rows of ints.  Build the C extension in place first (a C compiler
+and the Python headers are needed); without it only the pure column is
+printed:
 
     python setup.py build_ext --inplace
     PYTHONPATH=src python benchmarks/bench_kernels.py [--quick]
@@ -22,7 +24,7 @@ import timeit
 
 from qdistmat import _kernels
 from qdistmat._kernels import pure
-from qdistmat.qmatrix import build_dq
+from qdistmat.qmatrix import build_dq, build_dq_star
 from qdistmat.treekit import all_pairs_distances, random_tree
 
 
@@ -67,7 +69,8 @@ def main():
 
     poly_pairs = make_poly_workload(rng, int(4000 * scale), 24)
     mats7 = make_matrix_workload(rng, int(150 * scale), 7, 4)
-    dq24 = build_dq(random_tree(24, 4, 0)).rows
+    tree24 = random_tree(24, 4, 0)
+    dq24, dq_star24 = build_dq(tree24).rows, build_dq_star(tree24).rows
     dist8 = all_pairs_distances(random_tree(8, 1, 7)).rows
     dist7w = all_pairs_distances(random_tree(7, 4, 9)).rows
 
@@ -76,8 +79,10 @@ def main():
          lambda k: [k.poly_mul(a, b) for a, b in poly_pairs]),
         (f"bareiss_det, {len(mats7)} bracket matrices (n=7, weights<=4)",
          lambda k: [k.bareiss_det(m) for m in mats7]),
-        ("bareiss_det, one bracket matrix (n=24, weights<=4)",
+        ("bareiss_det, one D_q (n=24, weights<=4)",
          lambda k: k.bareiss_det(dq24)),
+        ("bareiss_det, D*_q of the same tree",
+         lambda k: k.bareiss_det(dq_star24)),
         ("perm_n_table, n=8 unit tree (40320 perms)",
          lambda k: k.perm_n_table(dist8, 8)),
         ("perm_m_coeffs, n=8 unit tree (40320 perms)",

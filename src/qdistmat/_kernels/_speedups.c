@@ -215,7 +215,7 @@ bareiss_det(PyObject *self, PyObject *rows)
         return NULL;
     PyObject *result = NULL, *row = NULL;
     ll *ents = NULL;
-    int *lens = NULL, *colidx;
+    int *lens = NULL, *rowidx, *colidx;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(frows), i, j;
 
     if (n == 0) {
@@ -231,12 +231,13 @@ bareiss_det(PyObject *self, PyObject *rows)
             goto done;
         }
     }
-    lens = PyMem_Malloc((size_t)(n * n + n) * sizeof(int));
+    lens = PyMem_Malloc((size_t)(n * n + 2 * n) * sizeof(int));
     if (lens == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    colidx = lens + n * n;
+    rowidx = lens + n * n;
+    colidx = rowidx + n;
 
     /* capacity bound: any minor's degree is at most the sum of row maxima */
     long cap = 0;
@@ -278,36 +279,59 @@ bareiss_det(PyObject *self, PyObject *rows)
         Py_CLEAR(row);
     }
     for (i = 0; i < n; i++)
-        colidx[i] = (int)i;
+        rowidx[i] = colidx[i] = (int)i;
 
-#define ENT(r, c) (ents + ((r) * n + (c)) * stride)
-#define LEN(r, c) lens[(r) * n + (c)]
+    /* (r, c) is the entry in row r and column c of the permuted matrix */
+#define ENT(r, c) (ents + (rowidx[r] * n + colidx[c]) * stride)
+#define LEN(r, c) lens[rowidx[r] * n + colidx[c]]
     int sign = 1, lprev = 0;
     const ll *prev = NULL;
     for (Py_ssize_t k = 0; k < n - 1; k++) {
-        if (LEN(k, colidx[k]) == 0) {
-            /* swap in the first later column with a nonzero pivot-row entry */
-            for (j = k + 1; j < n && LEN(k, colidx[j]) == 0; j++)
-                ;
-            if (j == n) {
-                result = PyList_New(0);
-                goto done;
+        /* pivot on the shortest nonzero entry of the trailing block, the
+           first in row-major order on ties.  By Sylvester's identity entry
+           (i, j) is the minor on rows 0..k-1, i and columns 0..k-1, j, so
+           swapping trailing rows or columns is swapping them in the input,
+           and every division stays exact. */
+        Py_ssize_t pi = k, pj = k;
+        int best = 0;
+        for (i = k; i < n && best != 1; i++) {
+            for (j = k; j < n; j++) {
+                int L = LEN(i, j);
+                if (L && (best == 0 || L < best)) {
+                    best = L;
+                    pi = i;
+                    pj = j;
+                    if (L == 1)
+                        break;
+                }
             }
-            int col = colidx[k];
-            colidx[k] = colidx[j];
-            colidx[j] = col;
+        }
+        if (best == 0) {
+            result = PyList_New(0);
+            goto done;
+        }
+        if (pi != k) {
+            int r = rowidx[k];
+            rowidx[k] = rowidx[pi];
+            rowidx[pi] = r;
             sign = -sign;
         }
-        const ll *piv = ENT(k, colidx[k]);
-        int lp = LEN(k, colidx[k]);
+        if (pj != k) {
+            int c = colidx[k];
+            colidx[k] = colidx[pj];
+            colidx[pj] = c;
+            sign = -sign;
+        }
+        const ll *piv = ENT(k, k);
+        int lp = LEN(k, k);
         for (i = k + 1; i < n; i++) {
-            const ll *aik = ENT(i, colidx[k]);
-            int lik = LEN(i, colidx[k]);
+            const ll *aik = ENT(i, k);
+            int lik = LEN(i, k);
             for (j = k + 1; j < n; j++) {
-                int col = colidx[j], lt1, lt2, lt3;
+                int lt1, lt2, lt3;
                 /* a_ij <- (a_kk a_ij - a_ik a_kj) / previous pivot */
-                if (ll_mul(piv, lp, ENT(i, col), LEN(i, col), t1, &lt1)
-                    || ll_mul(aik, lik, ENT(k, col), LEN(k, col), t2, &lt2)
+                if (ll_mul(piv, lp, ENT(i, j), LEN(i, j), t1, &lt1)
+                    || ll_mul(aik, lik, ENT(k, j), LEN(k, j), t2, &lt2)
                     || ll_sub_into(t1, &lt1, t2, lt2))
                     goto done;
                 if (prev == NULL) {
@@ -318,16 +342,16 @@ bareiss_det(PyObject *self, PyObject *rows)
                     goto done;
                 if (lt3 > stride)
                     goto done;
-                memcpy(ENT(i, col), t3, (size_t)lt3 * sizeof(ll));
-                LEN(i, col) = lt3;
+                memcpy(ENT(i, j), t3, (size_t)lt3 * sizeof(ll));
+                LEN(i, j) = lt3;
             }
         }
         prev = piv;
         lprev = lp;
     }
 
-    const ll *det = ENT(n - 1, colidx[n - 1]);
-    int ldet = LEN(n - 1, colidx[n - 1]);
+    const ll *det = ENT(n - 1, n - 1);
+    int ldet = LEN(n - 1, n - 1);
 #undef ENT
 #undef LEN
     for (j = 0; sign < 0 && j < ldet; j++) {

@@ -11,7 +11,9 @@ machine-word fast paths; results must be identical.
 into one integer by Kronecker substitution (q = 2^b), runs integer
 Bareiss, and reads the coefficients back as signed base-2^b digits, so
 each elimination step is one big-integer multiply-subtract-divide instead
-of schoolbook polynomial products and exact divisions.  The width b is
+of schoolbook polynomial products and exact divisions.  Each step pivots
+on the remaining entry of least bit length, which keeps the intermediates
+of tree distance matrices narrow until the last steps.  The width b is
 guessed from det M(1) and the decoded determinant is certified by
 evaluations at small integers, widening b on a mismatch; the Hadamard
 width, at which decoding alone is exact, is the last resort.
@@ -111,25 +113,44 @@ def bareiss_det(rows):
 def _int_det(m):
     """Determinant of a square integer matrix, by Bareiss elimination in place.
 
-    A zero pivot is repaired by swapping in the first column to its right
-    whose entry in the pivot row is nonzero (sign tracked); if the whole
-    pivot row is zero the determinant is zero.  Every division is by the
-    previous pivot and is exact, whatever the matrix.
+    Step k pivots on the nonzero entry of least bit length in the trailing
+    block (rows and columns k..n-1), the first in row-major order on ties:
+    its row and column are swapped into (k, k), each swap flipping the
+    sign.  If the whole block is zero the determinant is zero.  Small
+    pivots keep the intermediates narrow: a packed distance matrix has a
+    zero diagonal and entries whose width grows with the distance, so the
+    rule starts from near vertex pairs (1 bit for a unit edge) instead of
+    whatever entry comes first in a row.
+
+    The order does not affect exactness.  By Sylvester's identity, after k
+    steps the entry (i, j), i, j >= k, is the minor of M on rows
+    {0..k-1, i} and columns {0..k-1, j}; so swapping two trailing rows or
+    columns is the same as swapping them in M before the elimination, and
+    every division by the previous pivot stays exact.
     """
     n = len(m)
     sign = 1
     prev = 1  # pivot of the previous step; the first step divides by 1
     for k in range(n - 1):
+        best = pi = pj = 0
+        for i in range(k, n):
+            row = m[i]
+            for j in range(k, n):
+                x = row[j]
+                if x and (not best or x.bit_length() < best):
+                    best, pi, pj = x.bit_length(), i, j
+            if best == 1:
+                break
+        if not best:
+            return 0
+        if pi != k:
+            m[k], m[pi] = m[pi], m[k]
+            sign = -sign
+        if pj != k:
+            for row in m:
+                row[k], row[pj] = row[pj], row[k]
+            sign = -sign
         rowk = m[k]
-        if not rowk[k]:
-            for j in range(k + 1, n):
-                if rowk[j]:
-                    for row in m:
-                        row[k], row[j] = row[j], row[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
         piv = rowk[k]
         for i in range(k + 1, n):
             rowi = m[i]

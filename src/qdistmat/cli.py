@@ -152,7 +152,7 @@ def resolve_tree(tree_file, prufer_seq, random_n, path_n, star_n,
             raise click.UsageError("--weights does not apply to --tree")
         try:
             return load_tree(tree_file)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             _fail_usage(f"cannot read {tree_file}: {exc}")
     if prufer_seq is not None:
         seq = _parse_ints(prufer_seq, "--prufer") if prufer_seq.strip() else []

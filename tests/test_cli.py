@@ -122,7 +122,9 @@ def test_gen_tree_unwritable_out_exits_2(runner, tmp_path):
 
 
 def test_det_unreadable_tree_exits_2(runner, tmp_path):
-    for path in (tmp_path / "missing.txt", tmp_path):
+    not_utf8 = tmp_path / "cp1252.txt"
+    not_utf8.write_bytes(b"\x961 2 1\n")
+    for path in (tmp_path / "missing.txt", tmp_path, not_utf8):
         result = runner.invoke(cli.main, ["det", "--tree", str(path)])
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: cannot read {path}: ")

@@ -35,7 +35,7 @@ def test_bareiss_examples():
 
 
 def test_bareiss_zero_pivot_and_zero_det():
-    # distance matrices start with a zero pivot at (1,1)
+    # distance matrices have a zero diagonal: the first pivot cannot be (1,1)
     assert det_bareiss(ints([[0, 1], [1, 0]])) == Poly([-1])
     assert det_bareiss(ints([[0, 0], [0, 0]])) == Poly()
     assert det_bareiss(ints([[1, 2], [2, 4]])) == Poly()

@@ -9,7 +9,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import islice, permutations, zip_longest
 
 import pytest
 
@@ -18,7 +18,7 @@ from qdistmat._kernels import BACKEND, pure
 from qdistmat.exactdet import det_cofactor
 from qdistmat.identities import identity_suite
 from qdistmat.polyring import Poly
-from qdistmat.qmatrix import PolyMatrix, build_d, build_dq_star
+from qdistmat.qmatrix import PolyMatrix, build_d, build_dq, build_dq_star
 from qdistmat.treekit import from_edges, path_tree, random_tree, star_tree
 
 COMPILED = ("poly_mul", "bareiss_det", "perm_n_table", "perm_m_coeffs")
@@ -212,16 +212,79 @@ def test_pure_bareiss_at_hadamard_bound(order):
 
 @pytest.mark.parametrize("rows, det", [
     ([[[1, 2], [3]], [[], []]], []),  # zero row
-    ([[[1], [2], [3]], [[2], [4], [6]], [[1], [], [1]]], []),  # pivot row dies
+    ([[[1], [2], [3]], [[2], [4], [6]], [[1], [], [1]]], []),  # a zero row after one step
     ([[[1], [1, 1]], [[1, 1], [1, 2, 1]]], []),  # rank one over Z[q]
     ([[[3, -1]]], [3, -1]),
     ([[[]]], []),
-    ([[[], [1, 1]], [[2], [0, 3]]], [-2, -2]),  # zero first pivot: column swap
+    ([[[], [1, 1]], [[2], [0, 3]]], [-2, -2]),  # zero diagonal: the first pivot is in row 2
     ([[[], [1], [2]], [[1], [], [1]], [[2], [1], []]], [4]),
 ])
 def test_pure_bareiss_edge_cases(rows, det):
     assert pure.bareiss_det(rows) == det
     assert cofactor_det(rows) == det
+
+
+# -- pure _int_det: pivoting on the entry of least bit length ---------------
+
+
+def perm_sign(p):
+    return (-1) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+
+
+def int_matrices(rng):
+    # (kind, matrix) pairs of order 1..8 whose entries span 0 to 40 bits,
+    # so the pivot rule both swaps and skips zeros
+    def entry():
+        return rng.choice([0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-2 ** 40, 2 ** 40)])
+
+    for n in range(1, 9):
+        for _ in range(12):
+            m = [[entry() for _ in range(n)] for _ in range(n)]
+            yield "random", m
+            yield "zero diagonal", [[0 if i == j else x for j, x in enumerate(row)]
+                                    for i, row in enumerate(m)]
+            i, j = rng.randrange(n), rng.randrange(n)
+            yield "zero row", [[0] * n if r == i else row for r, row in enumerate(m)]
+            yield "zero column", [[0 if c == j else x for c, x in enumerate(row)] for row in m]
+            if n >= 2:
+                i, j = rng.sample(range(n), 2)
+                yield "equal rows", [m[i] if r == j else row for r, row in enumerate(m)]
+            # rank r <= n - 2: the trailing block is zero after step r
+            r = rng.randint(0, max(0, n - 2))
+            a = [[entry() for _ in range(r)] for _ in range(n)]
+            b = [[entry() for _ in range(n)] for _ in range(r)]
+            yield f"rank {r}", [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(n)]
+                                for i in range(n)]
+
+
+def test_int_det_matches_fraction_det():
+    for kind, m in int_matrices(random.Random(10)):
+        assert pure._int_det([row[:] for row in m]) == fraction_det(m), (kind, m)
+
+
+def test_int_det_under_row_and_column_permutations():
+    # the orders move the zeros and the 1-bit entries the rule picks first
+    m = [[0, 1, 6, 40], [3, 0, 2, 17], [9, 5, 0, 1], [100, 7, 4, 0]]
+    det = fraction_det(m)
+    assert det
+    for p in permutations(range(4)):
+        for q in permutations(range(4)):
+            pmq = [[m[p[i]][q[j]] for j in range(4)] for i in range(4)]
+            assert pure._int_det(pmq) == perm_sign(p) * perm_sign(q) * det, (p, q)
+
+
+@pytest.mark.parametrize("n", range(20, 25))
+def test_pure_bareiss_independent_of_vertex_order(n):
+    # conjugating by a vertex permutation leaves the determinant as it is
+    # but changes which of the tied entries the pivot rule takes
+    t = random_tree(n, 4, 0)
+    order = random.Random(n).sample(range(n), n)
+    for build, closed in ((build_dq, closedforms.dq_closed),
+                          (build_dq_star, closedforms.dq_star_closed)):
+        rows = build(t).rows
+        conj = [[rows[i][j] for j in order] for i in order]
+        want = list(closed(t.weights).coeffs)
+        assert pure.bareiss_det(rows) == pure.bareiss_det(conj) == want, build.__name__
 
 
 # -- pure bareiss_det: narrow decoding, its certificate, and widening ---------
