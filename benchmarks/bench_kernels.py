@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against the pure-Python fallback.
 
-Workloads mirror the verification sweeps: bracket-matrix determinants,
-permutation-table accumulation, and raw polynomial products, plus the
-q-distance matrix D_q of one n = 24 tree, where the compiled kernel
-overflows and hands the matrix to the pure one, and the D*_q of the same
-tree, which the compiled kernel takes to the end.  Each time is the best
-of five ``timeit`` repeats, each repeat long enough for
-``Timer.autorange``, per call; a workload so slow that a repeat is a
-single call takes the best of nine.  The kernels read matrices and
+Workloads mirror the verification sweeps: bracket-matrix determinants
+and permutation-table accumulation, plus the q-distance matrix D_q of one
+n = 24 tree, where the compiled kernel overflows and hands the matrix to
+the pure one, and the D*_q of the same tree, which the compiled kernel
+takes to the end.  Each time is the best of five ``timeit`` repeats, each
+repeat long enough for ``Timer.autorange``, per call; a workload so slow
+that a repeat is a single call takes the best of nine.  The kernels read matrices and
 distance tables as the package stores them, rows of coefficient tuples
 and rows of ints.  Build the C extension in place first (a C compiler
 and the Python headers are needed); without it only the pure column is
@@ -45,15 +44,6 @@ def ms(seconds):
     return f"{seconds * 1e3:.3g}ms"
 
 
-def make_poly_workload(rng, count, deg):
-    pairs = []
-    for _ in range(count):
-        a = [rng.randint(-99, 99) for _ in range(deg)] + [1]
-        b = [rng.randint(-99, 99) for _ in range(deg)] + [1]
-        pairs.append((a, b))
-    return pairs
-
-
 def make_matrix_workload(rng, count, n, max_weight):
     return [build_dq(random_tree(n, max_weight, rng.getrandbits(63))).rows
             for _ in range(count)]
@@ -67,7 +57,6 @@ def main():
     rng = random.Random(12345)
     scale = 0.2 if args.quick else 1.0
 
-    poly_pairs = make_poly_workload(rng, int(4000 * scale), 24)
     mats7 = make_matrix_workload(rng, int(150 * scale), 7, 4)
     tree24 = random_tree(24, 4, 0)
     dq24, dq_star24 = build_dq(tree24).rows, build_dq_star(tree24).rows
@@ -75,8 +64,6 @@ def main():
     dist7w = all_pairs_distances(random_tree(7, 4, 9)).rows
 
     workloads = [
-        (f"poly_mul, {len(poly_pairs)} products of degree-24 polys",
-         lambda k: [k.poly_mul(a, b) for a, b in poly_pairs]),
         (f"bareiss_det, {len(mats7)} bracket matrices (n=7, weights<=4)",
          lambda k: [k.bareiss_det(m) for m in mats7]),
         ("bareiss_det, one D_q (n=24, weights<=4)",

@@ -1,11 +1,14 @@
 """Kernel selection: compiled extension if available, pure Python otherwise.
 
 The compiled module (``_speedups``, hand-written C against the Python C API,
-built by ``setup.py`` when a C compiler is present) accelerates the hot
-inner loops with machine-word arithmetic and overflow detection; whenever a
-computation cannot be carried out safely in 64-bit words it returns None and
-the pure-Python kernel takes over, so results never depend on which backend
-ran.  Set ``QDISTMAT_PURE=1`` to force the pure backend.
+built by ``setup.py`` when a C compiler is present) implements
+``bareiss_det``, ``perm_n_table`` and ``perm_m_coeffs`` with machine-word
+arithmetic and overflow detection; whenever a computation cannot be
+carried out safely in 64-bit words it returns None and the pure-Python
+kernel takes over, so results never depend on which backend ran.  Set
+``QDISTMAT_PURE=1`` to force the pure backend.  ``poly_mul`` is always the
+pure schoolbook product: since the closed forms are computed once per
+weight multiset, too few products remain for a compiled one to pay.
 
 The pure ``bareiss_det`` is a Kronecker-substitution determinant: entries
 are evaluated at q = 2^b, one fraction-free integer elimination follows,
@@ -60,7 +63,7 @@ def _dispatch(name):
     return kernel
 
 
-poly_mul = _dispatch("poly_mul")
+poly_mul = _pure.poly_mul
 bareiss_det = _dispatch("bareiss_det")
 perm_n_table = _dispatch("perm_n_table")
 perm_m_coeffs = _dispatch("perm_m_coeffs")

@@ -1,8 +1,8 @@
 /* Compiled kernels: 64-bit fast paths for the hot loops.
 
-   Same surface and semantics as the pure module (qdistmat._kernels.pure).
-   Every function returns None whenever the computation cannot be completed
-   safely in machine words (a value that does not fit in 64 bits, or an
+   bareiss_det, perm_n_table and perm_m_coeffs of qdistmat._kernels.pure.
+   Each returns None whenever the computation cannot be completed safely
+   in machine words (a value that does not fit in 64 bits, or an
    arithmetic step that would wrap); the dispatcher then reruns the pure
    kernel, so results are identical whichever backend executes.
 
@@ -57,16 +57,15 @@ seq_to_ll(PyObject *seq, ll *out, Py_ssize_t n)
     return rc;
 }
 
-/* A new list of v[0..n-1], negated when negate is set (the caller makes
-   sure no value is LLONG_MIN). */
+/* A new list of v[0..n-1]. */
 static PyObject *
-ll_list(const ll *v, Py_ssize_t n, int negate)
+ll_list(const ll *v, Py_ssize_t n)
 {
     PyObject *list = PyList_New(n);
     if (list == NULL)
         return NULL;
     for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *x = PyLong_FromLongLong(negate ? -v[i] : v[i]);
+        PyObject *x = PyLong_FromLongLong(v[i]);
         if (x == NULL) {
             Py_DECREF(list);
             return NULL;
@@ -170,29 +169,6 @@ result_or_none(PyObject *result)
     if (result == NULL && !PyErr_Occurred())
         Py_RETURN_NONE;
     return result;
-}
-
-static PyObject *
-poly_mul(PyObject *self, PyObject *args)
-{
-    PyObject *a, *b, *result = NULL;
-    if (!PyArg_ParseTuple(args, "OO:poly_mul", &a, &b))
-        return NULL;
-    Py_ssize_t na = PyObject_Length(a), nb = na < 0 ? -1 : PyObject_Length(b);
-    if (nb < 0)
-        return NULL;
-    if (na == 0 || nb == 0)
-        return PyList_New(0);
-    ll *buf = PyMem_Malloc((size_t)(2 * (na + nb)) * sizeof(ll));
-    if (buf == NULL)
-        return PyErr_NoMemory();
-    ll *pa = buf, *pb = buf + na, *pr = buf + na + nb;
-    int olen;
-    if (seq_to_ll(a, pa, na) == 0 && seq_to_ll(b, pb, nb) == 0
-        && ll_mul(pa, (int)na, pb, (int)nb, pr, &olen) == 0)
-        result = ll_list(pr, olen, 0);
-    PyMem_Free(buf);
-    return result_or_none(result);
 }
 
 /* Row i of the matrix frows as a fast sequence, which must have n entries. */
@@ -350,15 +326,16 @@ bareiss_det(PyObject *self, PyObject *rows)
         lprev = lp;
     }
 
-    const ll *det = ENT(n - 1, n - 1);
+    ll *det = ENT(n - 1, n - 1);
     int ldet = LEN(n - 1, n - 1);
 #undef ENT
 #undef LEN
     for (j = 0; sign < 0 && j < ldet; j++) {
         if (det[j] == LLONG_MIN)  /* its negation does not fit */
             goto done;
+        det[j] = -det[j];
     }
-    result = ll_list(det, ldet, sign < 0);
+    result = ll_list(det, ldet);
 
 done:
     Py_XDECREF(row);
@@ -389,10 +366,13 @@ next_perm(int *a, int n, int *sign)
     return 1;
 }
 
-/* Read the n x n table dist into nd: 0 ok, 1 overflow, -1 error set. */
+/* Read the n x n table dist into nd[0 .. n*n-1] and each row's maximum
+   into nd[n*n + i]: 0 ok, 1 on a value that does not fit in 64 bits or is
+   negative, -1 with an exception set. */
 static int
 table_to_ll(PyObject *dist, ll *nd, int n)
 {
+    ll *rmax = nd + n * n;
     for (int i = 0; i < n; i++) {
         PyObject *row = PySequence_GetItem(dist, i);
         if (row == NULL)
@@ -401,6 +381,13 @@ table_to_ll(PyObject *dist, ll *nd, int n)
         Py_DECREF(row);
         if (rc)
             return rc;
+        rmax[i] = 0;
+        for (int j = 0; j < n; j++) {
+            if (nd[i * n + j] < 0)
+                return 1;
+            if (nd[i * n + j] > rmax[i])
+                rmax[i] = nd[i * n + j];
+        }
     }
     return 0;
 }
@@ -409,15 +396,15 @@ static PyObject *
 perm_n_table(PyObject *self, PyObject *args)
 {
     PyObject *dist, *result = NULL;
-    int n_arg, i, j, sign = 1;
+    int n_arg, i, sign = 1;
     if (!PyArg_ParseTuple(args, "Oi:perm_n_table", &dist, &n_arg))
         return NULL;
     const int n = n_arg;  /* never addressed, so the sweep keeps it in a register */
     if (n < 1 || n > MAX_PERM_N)
         Py_RETURN_NONE;
-    ll *nd = PyMem_Malloc((size_t)(n * n) * sizeof(ll)), *hist = NULL;
+    ll *nd = PyMem_Malloc((size_t)(n * n + n) * sizeof(ll)), *hist = NULL;
     int *perm = PyMem_Malloc((size_t)n * sizeof(int));
-    ll smin = 0, smax = 0, span;
+    ll smax = 0;
     if (nd == NULL || perm == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -425,45 +412,25 @@ perm_n_table(PyObject *self, PyObject *args)
     if (table_to_ll(dist, nd, n))
         goto done;
     for (i = 0; i < n; i++) {
-        ll rmin = nd[i * n], rmax = nd[i * n];
-        for (j = 1; j < n; j++) {
-            if (nd[i * n + j] < rmin)
-                rmin = nd[i * n + j];
-            if (nd[i * n + j] > rmax)
-                rmax = nd[i * n + j];
-        }
-        if (ADD_OVF(smin, rmin, &smin) || ADD_OVF(smax, rmax, &smax))
+        if (ADD_OVF(smax, nd[n * n + i], &smax) || smax > MAX_SPAN)
             goto done;
     }
-    if (SUB_OVF(smax, smin, &span) || span > MAX_SPAN)
-        goto done;
-    hist = PyMem_Calloc((size_t)span + 1, sizeof(ll));
+    hist = PyMem_Calloc((size_t)smax + 1, sizeof(ll));
     if (hist == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     for (i = 0; i < n; i++)
         perm[i] = i;
-    /* every partial sum lies between the checked partial sums of row
-       minima and maxima, so none of these additions overflows */
+    /* every partial sum lies between 0 and the checked sum of row maxima,
+       so none of these additions overflows */
     do {
         ll s = 0;
         for (i = 0; i < n; i++)
             s += nd[i * n + perm[i]];
-        hist[s - smin] += sign;
+        hist[s] += sign;
     } while (next_perm(perm, n, &sign));
-
-    result = PyDict_New();
-    for (ll d = 0; result != NULL && d <= span; d++) {
-        if (hist[d] == 0)
-            continue;
-        PyObject *key = PyLong_FromLongLong(smin + d);
-        PyObject *val = PyLong_FromLongLong(hist[d]);
-        if (key == NULL || val == NULL || PyDict_SetItem(result, key, val) < 0)
-            Py_CLEAR(result);
-        Py_XDECREF(key);
-        Py_XDECREF(val);
-    }
+    result = ll_list(hist, trimmed(hist, (int)smax + 1));
 
 done:
     PyMem_Free(nd);
@@ -482,7 +449,7 @@ perm_m_coeffs(PyObject *self, PyObject *args)
     const int n = n_arg;  /* never addressed, so the sweep keeps it in a register */
     if (n < 1 || n > MAX_PERM_N)
         Py_RETURN_NONE;
-    ll *nd = PyMem_Malloc((size_t)(n * n) * sizeof(ll)), *work = NULL;
+    ll *nd = PyMem_Malloc((size_t)(n * n + n) * sizeof(ll)), *work = NULL;
     int *perm = PyMem_Malloc((size_t)n * sizeof(int));
     if (nd == NULL || perm == NULL) {
         PyErr_NoMemory();
@@ -494,14 +461,7 @@ perm_m_coeffs(PyObject *self, PyObject *args)
        below 2^62 for the whole sweep to be overflow-free */
     ll bound = 1, dcap = 0;
     for (i = 0; i < n; i++) {
-        ll rmax = 0;
-        for (j = 0; j < n; j++) {
-            ll d = nd[i * n + j];
-            if (d < 0)
-                goto done;
-            if (d > rmax)
-                rmax = d;
-        }
+        ll rmax = nd[n * n + i];
         if (rmax > 0) {
             if (MUL_OVF(bound, rmax, &bound))
                 goto done;
@@ -554,7 +514,7 @@ perm_m_coeffs(PyObject *self, PyObject *args)
         if (m > acclen)
             acclen = m;
     } while (next_perm(perm, n, &sign));
-    result = ll_list(acc, trimmed(acc, acclen), 0);
+    result = ll_list(acc, trimmed(acc, acclen));
 
 done:
     PyMem_Free(nd);
@@ -564,8 +524,6 @@ done:
 }
 
 static PyMethodDef speedups_methods[] = {
-    {"poly_mul", poly_mul, METH_VARARGS,
-     "Convolution product of canonical coefficient lists, or None."},
     {"bareiss_det", bareiss_det, METH_O,
      "Fraction-free elimination determinant, or None on overflow."},
     {"perm_n_table", perm_n_table, METH_VARARGS,

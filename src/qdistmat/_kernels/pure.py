@@ -2,10 +2,11 @@
 
 Kernel inputs are coefficient sequences (lists or tuples, never modified):
 little-endian by degree, plain Python ints, and canonical, so the last
-entry is nonzero and the zero polynomial is empty.  Results are lists.
-The compiled module ``_speedups`` (hand-written C) implements
-``poly_mul``, ``bareiss_det``, ``perm_n_table`` and ``perm_m_coeffs`` with
-machine-word fast paths; results must be identical.
+entry is nonzero and the zero polynomial is empty.  Results are lists
+in the same canonical form.  The compiled module ``_speedups``
+(hand-written C) implements ``bareiss_det``, ``perm_n_table`` and
+``perm_m_coeffs`` with machine-word fast paths; results must be
+identical.  ``poly_mul`` has no compiled twin.
 
 ``bareiss_det`` does not eliminate over polynomials: it packs each entry
 into one integer by Kronecker substitution (q = 2^b), runs integer
@@ -246,19 +247,22 @@ def _perm_signs(n):
 
 
 def perm_n_table(dist, n):
-    """Signed histogram of permutation lengths sum_i d(i, p(i)).
+    """Signed histogram of permutation lengths sum_i d(i, p(i)), as a list.
 
-    Returns a dict mapping each attained length to the even-minus-odd
-    signed count, zero entries omitted.
+    Entry k is the even-minus-odd count of permutations of length k.  A
+    negative distance, which would index the list from its end, raises
+    ValueError.
     """
+    if any(d < 0 for row in dist[:n] for d in row[:n]):
+        raise ValueError("distances must be nonnegative")
     signs = _perm_signs(n)
-    table = {}
+    table = [0] * (sum(max(row[:n]) for row in dist[:n]) + 1)
     for idx, p in enumerate(itertools.permutations(range(n))):
         s = 0
         for i in range(n):
             s += dist[i][p[i]]
-        table[s] = table.get(s, 0) + (-1 if signs[idx] else 1)
-    return {k: v for k, v in table.items() if v}
+        table[s] += -1 if signs[idx] else 1
+    return _trim(table)
 
 
 def _ones_mul(a, width):

@@ -7,8 +7,10 @@ identities that det and verify check live in ``qdistmat.identities``;
 this module parses arguments, resolves trees and formats results.
 
 Exit status contract: 0 all checks passed, 1 a mathematical identity
-failed, 2 invalid input or usage.  All randomness flows from --seed, so
-any reported failure is replayable.
+failed, 2 invalid input or usage.  All randomness flows from --seed, so a
+run can be repeated.  verify prints each failing tree as a JSON tree,
+which --tree FILE reads; det --tree replays only the four determinant
+checks, and the other checks of verify have no single-tree command.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import click
 from . import permlab, wiener
 from ._kernels import BACKEND
 from .exactdet import det_bareiss
-from .identities import det_checks, identity_suite
+from .identities import closed_forms, det_checks, identity_suite
 from .polyring import Poly
 from .qmatrix import build_dq, build_dq_star
 from .treekit import (
@@ -208,7 +210,7 @@ def cmd_det(t, fmt):
     """Determinants of all four matrix constructions vs. closed forms."""
     if t.n < 2:
         raise click.UsageError("det needs a tree with at least 2 vertices")
-    checks = det_checks(t)
+    checks = det_checks(t, closed_forms(t.weights))
     ok = all(c.passed for c in checks)
     if fmt == "json":
         emit_json({
@@ -242,20 +244,22 @@ def cmd_det(t, fmt):
 def _run_verify_corpus(trees, check_structure_independence):
     checks = 0
     failures = []
+    forms = {}  # weight multiset -> its closed forms
     first_profiles = {}  # weight multiset -> profile of the first tree with it
     mismatches = {}  # weight multiset -> first tree whose profile differs
     count = 0
     for t in trees:
         count += 1
-        results, profile = identity_suite(t)
+        key = (t.n, tuple(sorted(t.weights)))
+        if key not in forms:
+            forms[key] = closed_forms(t.weights)
+        results, profile = identity_suite(t, forms[key])
         for name, ok in results:
             checks += 1
             if not ok:
                 failures.append({"tree": tree_to_json_dict(t), "check": name})
-        if check_structure_independence:
-            key = (t.n, tuple(sorted(t.weights)))
-            if first_profiles.setdefault(key, profile) != profile:
-                mismatches.setdefault(key, t)
+        if check_structure_independence and first_profiles.setdefault(key, profile) != profile:
+            mismatches.setdefault(key, t)
     if check_structure_independence:
         checks += len(first_profiles)
         failures.extend({"tree": tree_to_json_dict(t), "check": "structure_independence"}
@@ -326,7 +330,7 @@ def cmd_verify(exhaustive_n, trials, trials_alias, n_max, max_weight, seed,
         _echo(f"checks: {checks}")
         _echo(f"failures: {len(failures)}")
         for f in failures:
-            _echo(f"FAIL {f['check']} on {f['tree']}")
+            _echo(f"FAIL {f['check']} on {json.dumps(f['tree'])}")
         _echo(f"result: {'PASS' if ok else 'FAIL'}")
     if not ok:
         sys.exit(EXIT_IDENTITY_FAILURE)

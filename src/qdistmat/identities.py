@@ -2,7 +2,9 @@
 
 Each tree's four matrices D, D + xJ, D*_q and D_q are built once and each
 of their determinants is taken once; every check compares values already
-in hand.  The suite checks
+in hand.  The closed forms that depend only on the weight multiset come
+from ``closed_forms`` and are passed in, so a sweep computes them once per
+multiset.  The suite checks
 
 - the four determinants against their closed forms (Bapat-Kirkland-Neumann
   for D and D + xJ, a product over the edges for D*_q and a sum over the
@@ -28,7 +30,7 @@ from .polyring import Poly, qbracket
 from .qmatrix import PolyMatrix, build_d, build_d_plus_xJ, build_dq, build_dq_star
 from .treekit import WeightedTree
 
-__all__ = ["DetCheck", "det_checks", "identity_suite"]
+__all__ = ["DetCheck", "closed_forms", "det_checks", "identity_suite"]
 
 
 @dataclass(frozen=True)
@@ -43,33 +45,47 @@ class DetCheck:
         return self.determinant == self.closed
 
 
-def det_checks(t: WeightedTree) -> list[DetCheck]:
-    """Each matrix's determinant against its closed form: D, D+xJ, Dq*, Dq."""
-    ws = t.weights
-    d, dxj, dq_star, dq = build_d(t), build_d_plus_xJ(t), build_dq_star(t), build_dq(t)
-    return [
-        DetCheck("D", d, det_bareiss(d), Poly([closedforms.bkn_det(ws)])),
-        DetCheck("D+xJ", dxj, det_bareiss(dxj), closedforms.bkn_det_xj(ws)),
-        DetCheck("Dq*", dq_star, det_bareiss(dq_star), closedforms.dq_star_closed(ws)),
-        DetCheck("Dq", dq, det_bareiss(dq), closedforms.dq_closed(ws)),
-    ]
+def closed_forms(weights) -> dict[str, Poly]:
+    """The closed forms that depend only on the weight multiset, by check name.
+
+    "D", "D+xJ", "Dq*" and "Dq" for every multiset; "graham_pollak",
+    "dq_simple" and "dq_star_simple" as well when every weight is one.
+    """
+    forms = {"D": Poly([closedforms.bkn_det(weights)]), "D+xJ": closedforms.bkn_det_xj(weights),
+             "Dq*": closedforms.dq_star_closed(weights), "Dq": closedforms.dq_closed(weights)}
+    if all(w == 1 for w in weights):
+        n = len(weights) + 1
+        forms.update(graham_pollak=Poly([closedforms.graham_pollak(n)]),
+                     dq_simple=closedforms.dq_simple(n),
+                     dq_star_simple=closedforms.dq_star_simple(n))
+    return forms
 
 
-def identity_suite(t: WeightedTree) -> tuple[list[tuple[str, bool]], tuple[Poly, ...]]:
+def det_checks(t: WeightedTree, closed: dict[str, Poly]) -> list[DetCheck]:
+    """Each matrix's determinant against its form in ``closed``: D, D+xJ, Dq*, Dq."""
+    matrices = {"D": build_d(t), "D+xJ": build_d_plus_xJ(t),
+                "Dq*": build_dq_star(t), "Dq": build_dq(t)}
+    return [DetCheck(name, m, det_bareiss(m), closed[name]) for name, m in matrices.items()]
+
+
+def identity_suite(
+    t: WeightedTree, closed: dict[str, Poly]
+) -> tuple[list[tuple[str, bool]], tuple[Poly, ...]]:
     """Every executable identity for one tree.
 
-    Returns the (name, passed) pairs in a fixed order, and the determinant
-    profile (det D, det D_q, det D*_q, det(D + xJ)), which depends only on
-    the weight multiset if the paper's main results hold.
+    ``closed`` is ``closed_forms`` of the tree's weight multiset.  Returns
+    the (name, passed) pairs in a fixed order, and the determinant profile
+    (det D, det D_q, det D*_q, det(D + xJ)), which depends only on the
+    weight multiset if the paper's main results hold.
     """
     n = t.n
-    checks = det_checks(t)
+    checks = det_checks(t, closed)
     det_d, det_dxj, det_dq_star, det_dq = (c.determinant for c in checks)
     results = [(f"det({c.name})==closed", c.passed) for c in checks]
     if t.is_simple():
-        results.append(("graham_pollak", det_d == Poly([closedforms.graham_pollak(n)])))
-        results.append(("dq_simple", det_dq == closedforms.dq_simple(n)))
-        results.append(("dq_star_simple", det_dq_star == closedforms.dq_star_simple(n)))
+        for name, det in (("graham_pollak", det_d), ("dq_simple", det_dq),
+                          ("dq_star_simple", det_dq_star)):
+            results.append((name, det == closed[name]))
     if n >= 3:
         dq = checks[3].matrix
         dets = {((), ()): det_dq}

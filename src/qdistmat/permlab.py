@@ -90,20 +90,15 @@ def length_on_tree(p: Permutation, d: DistanceTable) -> int:
     return sum(rows[i][p.images[i] - 1] for i in range(d.n))
 
 
-def _check_perm_n(n: int):
-    if n > PERM_MAX_N:
+def _sweep_distances(t: WeightedTree):
+    if t.n > PERM_MAX_N:
         raise ValueError(f"permutation sweeps capped at n = {PERM_MAX_N} (n! cost)")
+    return all_pairs_distances(t).rows
 
 
 def n_table_oracle(t: WeightedTree) -> Poly:
     """Signed length histogram over all n! permutations, as sum_k N_{n,k} q^k."""
-    _check_perm_n(t.n)
-    dist = all_pairs_distances(t).rows
-    table = _kernels.perm_n_table(dist, t.n)
-    coeffs = [0] * (max(table, default=-1) + 1)
-    for k, c in table.items():
-        coeffs[k] = c
-    return Poly(coeffs)
+    return Poly(_kernels.perm_n_table(_sweep_distances(t), t.n))
 
 
 def m_table_oracle(t: WeightedTree) -> Poly:
@@ -113,9 +108,7 @@ def m_table_oracle(t: WeightedTree) -> Poly:
     coefficients are exactly the composition counts; phi_count_direct is
     the independent route used to cross-check that equivalence.
     """
-    _check_perm_n(t.n)
-    dist = all_pairs_distances(t).rows
-    return Poly(_kernels.perm_m_coeffs(dist, t.n))
+    return Poly(_kernels.perm_m_coeffs(_sweep_distances(t), t.n))
 
 
 def n_closed(n: int, k: int) -> int:

@@ -11,9 +11,10 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from qdistmat import cli, identities, permlab
+from qdistmat import cli, closedforms, identities, permlab
 from qdistmat.polyring import Poly
-from qdistmat.treekit import enumerate_trees, load_tree, random_tree, tree_to_json_dict
+from qdistmat.treekit import (enumerate_trees, load_tree, random_tree, random_trees,
+                              tree_to_json_dict)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output-schema.json").read_text()
@@ -178,13 +179,16 @@ def test_det_identity_failure_exits_1(runner, monkeypatch):
     assert "FAIL" in result.output
 
 
-def test_verify_identity_failure_exits_1(runner, monkeypatch):
+def test_verify_identity_failure_exits_1(runner, monkeypatch, tmp_path):
     monkeypatch.setattr(identities, "det_bareiss", lambda m: Poly([777]))
     result = runner.invoke(cli.main, ["verify", "--exhaustive", "4"])
     assert result.exit_code == 1
     first = next(enumerate_trees(4))
-    assert f"FAIL det(Dq)==closed on {tree_to_json_dict(first)}" in result.output.splitlines()
+    line = f"FAIL det(Dq)==closed on {json.dumps(tree_to_json_dict(first))}"
+    assert line in result.output.splitlines()
     assert result.output.splitlines()[-1] == "result: FAIL"
+    (tmp_path / "tree.json").write_text(line.split(" on ", 1)[1])
+    assert load_tree(str(tmp_path / "tree.json")) == first
 
 
 @pytest.mark.parametrize("output", ["plain", "json"])
@@ -192,8 +196,8 @@ def test_structure_independence_failure_names_the_tree(runner, monkeypatch, outp
     target = list(enumerate_trees(4))[2]
     real_suite = cli.identity_suite
 
-    def perturbed(t):
-        results, profile = real_suite(t)
+    def perturbed(t, closed):
+        results, profile = real_suite(t, closed)
         return results, (profile if t != target else profile[:-1] + (Poly([777]),))
 
     monkeypatch.setattr(cli, "identity_suite", perturbed)
@@ -207,7 +211,17 @@ def test_structure_independence_failure_names_the_tree(runner, monkeypatch, outp
         ]
     else:
         fails = [ln for ln in result.output.splitlines() if ln.startswith("FAIL")]
-        assert fails == [f"FAIL structure_independence on {tree_to_json_dict(target)}"]
+        assert fails == [f"FAIL structure_independence on {json.dumps(tree_to_json_dict(target))}"]
+
+
+@pytest.mark.parametrize("args", [["--exhaustive", "5"], ["--random", "20"]])
+def test_verify_computes_closed_forms_once_per_multiset(runner, monkeypatch, args):
+    calls = []
+    real = closedforms.dq_closed
+    monkeypatch.setattr(closedforms, "dq_closed", lambda ws: calls.append(ws) or real(ws))
+    assert runner.invoke(cli.main, ["verify", *args]).exit_code == 0
+    trees = enumerate_trees(5) if args[0] == "--exhaustive" else random_trees(20, 2, 7, 4, 0)
+    assert len(calls) == len({(t.n, tuple(sorted(t.weights))) for t in trees})
 
 
 def test_verify_exhaustive(runner):

@@ -39,7 +39,7 @@ def expected_names(n, simple):
 ], ids=["path2", "path3", "path4", "weighted5", "tree9"])
 def test_suite_names_count_and_profile(t):
     n, simple = t.n, t.is_simple()
-    results, profile = identities.identity_suite(t)
+    results, profile = identities.identity_suite(t, identities.closed_forms(t.weights))
     names = [name for name, _ in results]
     assert names == expected_names(n, simple)
     assert len(names) == 4 + 3 * simple + 2 * (n >= 3) + (n >= 4) + 2 * (n <= 8)
@@ -47,6 +47,17 @@ def test_suite_names_count_and_profile(t):
     assert profile == tuple(
         det_bareiss(b(t)) for b in (build_d, build_dq, build_dq_star, build_d_plus_xJ)
     )
+
+
+@pytest.mark.parametrize("name, check",
+                         [(m, f"det({m})==closed") for m in ("D", "D+xJ", "Dq*", "Dq")]
+                         + [(c, c) for c in ("graham_pollak", "dq_simple", "dq_star_simple")])
+def test_a_wrong_closed_form_fails_its_check(name, check):
+    t = path_tree(5, [1, 1, 1, 1])
+    closed = identities.closed_forms(t.weights)
+    closed[name] += 1
+    results, _ = identities.identity_suite(t, closed)
+    assert [n for n, ok in results if not ok] == [check]
 
 
 def test_each_matrix_and_determinant_once(monkeypatch):
@@ -68,7 +79,7 @@ def test_each_matrix_and_determinant_once(monkeypatch):
 
     def work(t):
         calls.update(dets=0, builds=0)
-        results, _ = identities.identity_suite(t)
+        results, _ = identities.identity_suite(t, identities.closed_forms(t.weights))
         assert all(ok for _, ok in results), results
         return dict(calls)
 
@@ -110,7 +121,7 @@ def test_pendant_checks_match_the_relabelled_route():
         u, v = leaves[0], leaves[-1]
         if t.weights != (1,) * (t.n - 1) and (u, v) != (1, t.n):
             parities.add((u + v + t.n + 1) % 2)
-        results, _ = identities.identity_suite(t)
+        results, _ = identities.identity_suite(t, identities.closed_forms(t.weights))
         got = {name: ok for name, ok in results if name in ("corner_minor", "recurrence16")}
         want = literal_pendant_checks(t)
         assert got == want and all(want.values()), (t, got, want)
