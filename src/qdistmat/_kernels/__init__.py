@@ -2,10 +2,10 @@
 
 The compiled module (``_speedups``, hand-written C against the Python C API,
 built by ``setup.py`` when a C compiler is present) implements
-``bareiss_det``, ``perm_n_table`` and ``perm_m_coeffs`` with machine-word
-arithmetic and overflow detection; whenever a computation cannot be
-carried out safely in 64-bit words it returns None and the pure-Python
-kernel takes over, so results never depend on which backend ran.  Set
+``bareiss_det`` and ``perm_tables`` with machine-word arithmetic and
+overflow detection; whenever a computation cannot be carried out safely in
+64-bit words it returns None and the pure-Python kernel takes over, so
+results never depend on which backend ran.  Set
 ``QDISTMAT_PURE=1`` to force the pure backend.  ``poly_mul`` is always the
 pure schoolbook product: since the closed forms are computed once per
 weight multiset, too few products remain for a compiled one to pay.
@@ -18,6 +18,13 @@ the Hadamard bound sqrt(prod_i sum_j ||M_ij||_1^2) on the coefficients;
 below that width the decoded polynomial is accepted only after it matches
 the determinant at enough small integer points, and b doubles otherwise.
 See ``pure.bareiss_det`` for the proof sketch.
+
+``perm_tables`` returns both permutation tables of a distance table, the
+signed length histogram N and the signed bracket-product sum M, from one
+sweep over the n! permutations.  The pure kernel follows the definitions;
+the compiled one fills two signed integer histograms, N and
+R = sum_p sgn(p) sum_i q^(L(p) - d(i, p(i))), and divides:
+M = (-1)^n (N - R) / (1 - q)^n.  See ``pure.perm_tables`` for the proof.
 """
 
 import importlib
@@ -38,8 +45,7 @@ __all__ = [
     "BACKEND",
     "poly_mul",
     "bareiss_det",
-    "perm_n_table",
-    "perm_m_coeffs",
+    "perm_tables",
 ]
 
 
@@ -65,5 +71,4 @@ def _dispatch(name):
 
 poly_mul = _pure.poly_mul
 bareiss_det = _dispatch("bareiss_det")
-perm_n_table = _dispatch("perm_n_table")
-perm_m_coeffs = _dispatch("perm_m_coeffs")
+perm_tables = _dispatch("perm_tables")

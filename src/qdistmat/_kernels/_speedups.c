@@ -1,10 +1,12 @@
 /* Compiled kernels: 64-bit fast paths for the hot loops.
 
-   bareiss_det, perm_n_table and perm_m_coeffs of qdistmat._kernels.pure.
-   Each returns None whenever the computation cannot be completed safely
-   in machine words (a value that does not fit in 64 bits, or an
-   arithmetic step that would wrap); the dispatcher then reruns the pure
-   kernel, so results are identical whichever backend executes.
+   bareiss_det and perm_tables of qdistmat._kernels.pure.  Each returns
+   None whenever the computation cannot be completed safely in machine
+   words (a value that does not fit in 64 bits, or an arithmetic step that
+   would wrap); the dispatcher then reruns the pure kernel, so results are
+   identical whichever backend executes.  perm_tables sweeps the n!
+   permutations once and reads both tables off two signed integer
+   histograms, with no polynomial products (see its comment).
 
    Plain C against the Python C API, with the GCC/Clang overflow builtins.
    Build in place with `python setup.py build_ext --inplace`. */
@@ -18,8 +20,7 @@ typedef long long ll;
 
 /* workspace ceiling for the elimination kernel, in 8-byte words */
 #define MAX_WORKSPACE 4000000L
-/* permutation sweeps: most vertices, and widest histogram or coefficient
-   buffer */
+/* permutation sweep: most vertices, and widest histogram */
 #define MAX_PERM_N 12
 #define MAX_SPAN (1LL << 22)
 
@@ -392,12 +393,30 @@ table_to_ll(PyObject *dist, ll *nd, int n)
     return 0;
 }
 
+/* Both permutation tables of the n x n table dist, from one sweep.
+
+   N = sum_s sgn(s) q^L(s), with L(s) = sum_i d(i, s(i)), is the histogram
+   hN.  M = sum_s sgn(s) prod_i [d(i, s(i))] needs no bracket products:
+   since [d](1 - q) = 1 - q^d,
+
+       (1 - q)^n M = sum_s sgn(s) prod_i (1 - q^d(i,s(i))).
+
+   Expand each product over the set S of rows that take the q-term.  The
+   term of (s, S) does not depend on s(i) for a row i outside S, so when
+   two or more rows lie outside S, swapping s(i) and s(j) for the two
+   smallest of them pairs it with a term of opposite sign.  Only S = all
+   rows survives, giving (-1)^n N, and S = all rows but i, giving
+   (-1)^(n-1) R with R = sum_s sgn(s) sum_i q^(L(s) - d(i, s(i))).  So
+   M = (-1)^n (N - R) / (1 - q)^n = (N - R) / (q - 1)^n, for every table
+   of nonnegative integers.  The sweep fills hM with N - R; each of the n
+   divisions by q - 1 is a negated prefix sum whose last entry, the
+   remainder, must be 0.  Returns (N, M) as two lists, or None. */
 static PyObject *
-perm_n_table(PyObject *self, PyObject *args)
+perm_tables(PyObject *self, PyObject *args)
 {
-    PyObject *dist, *result = NULL;
+    PyObject *dist, *result = NULL, *nlist = NULL, *mlist = NULL;
     int n_arg, i, sign = 1;
-    if (!PyArg_ParseTuple(args, "Oi:perm_n_table", &dist, &n_arg))
+    if (!PyArg_ParseTuple(args, "Oi:perm_tables", &dist, &n_arg))
         return NULL;
     const int n = n_arg;  /* never addressed, so the sweep keeps it in a register */
     if (n < 1 || n > MAX_PERM_N)
@@ -415,121 +434,53 @@ perm_n_table(PyObject *self, PyObject *args)
         if (ADD_OVF(smax, nd[n * n + i], &smax) || smax > MAX_SPAN)
             goto done;
     }
-    hist = PyMem_Calloc((size_t)smax + 1, sizeof(ll));
+    hist = PyMem_Calloc(2 * ((size_t)smax + 1), sizeof(ll));
     if (hist == NULL) {
         PyErr_NoMemory();
         goto done;
     }
+    ll *hN = hist, *hM = hist + smax + 1;
     for (i = 0; i < n; i++)
         perm[i] = i;
-    /* every partial sum lies between 0 and the checked sum of row maxima,
-       so none of these additions overflows */
+    /* every index lies between 0 and the checked sum of row maxima, and
+       every count is at most (n + 1) n! < 2^33 in absolute value */
     do {
         ll s = 0;
         for (i = 0; i < n; i++)
             s += nd[i * n + perm[i]];
-        hist[s] += sign;
+        hN[s] += sign;
+        hM[s] += sign;
+        for (i = 0; i < n; i++)
+            hM[s - nd[i * n + perm[i]]] -= sign;
     } while (next_perm(perm, n, &sign));
-    result = ll_list(hist, trimmed(hist, (int)smax + 1));
+
+    int len = (int)smax + 1;
+    for (int pass = 0; pass < n && (len = trimmed(hM, len)) > 0; pass++) {
+        for (i = 0; i < len; i++) {
+            if (SUB_OVF(i ? hM[i - 1] : 0, hM[i], &hM[i]))
+                goto done;
+        }
+        if (hM[--len] != 0)
+            goto done;
+    }
+    if ((nlist = ll_list(hN, trimmed(hN, (int)smax + 1))) != NULL
+        && (mlist = ll_list(hM, trimmed(hM, len))) != NULL)
+        result = PyTuple_Pack(2, nlist, mlist);
 
 done:
+    Py_XDECREF(nlist);
+    Py_XDECREF(mlist);
     PyMem_Free(nd);
     PyMem_Free(perm);
     PyMem_Free(hist);
     return result_or_none(result);
 }
 
-static PyObject *
-perm_m_coeffs(PyObject *self, PyObject *args)
-{
-    PyObject *dist, *result = NULL;
-    int n_arg, i, j, k, sign = 1;
-    if (!PyArg_ParseTuple(args, "Oi:perm_m_coeffs", &dist, &n_arg))
-        return NULL;
-    const int n = n_arg;  /* never addressed, so the sweep keeps it in a register */
-    if (n < 1 || n > MAX_PERM_N)
-        Py_RETURN_NONE;
-    ll *nd = PyMem_Malloc((size_t)(n * n + n) * sizeof(ll)), *work = NULL;
-    int *perm = PyMem_Malloc((size_t)n * sizeof(int));
-    if (nd == NULL || perm == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    if (table_to_ll(dist, nd, n))
-        goto done;
-    /* coefficient bound: n! times the product of per-row maxima must stay
-       below 2^62 for the whole sweep to be overflow-free */
-    ll bound = 1, dcap = 0;
-    for (i = 0; i < n; i++) {
-        ll rmax = nd[n * n + i];
-        if (rmax > 0) {
-            if (MUL_OVF(bound, rmax, &bound))
-                goto done;
-            dcap += rmax - 1;
-        }
-    }
-    for (i = 2; i <= n; i++) {
-        if (MUL_OVF(bound, (ll)i, &bound))
-            goto done;
-    }
-    if (bound >= (1LL << 62) || dcap > MAX_SPAN)
-        goto done;
-
-    work = PyMem_Malloc((size_t)(4 * dcap + 5) * sizeof(ll));
-    if (work == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    ll *cur = work, *nxt = work + (dcap + 1), *acc = work + 2 * (dcap + 1);
-    ll *pref = work + 3 * (dcap + 1), *swp;
-    int acclen = 0;
-    memset(acc, 0, (size_t)(dcap + 1) * sizeof(ll));
-    for (i = 0; i < n; i++)
-        perm[i] = i;
-    do {
-        int m = 1;
-        cur[0] = 1;
-        for (i = 0; i < n; i++) {
-            int width = (int)nd[i * n + perm[i]];
-            if (width == 0) {
-                m = 0;
-                break;
-            }
-            if (width == 1)
-                continue;
-            /* multiply by 1 + q + ... + q^(width-1) via prefix sums */
-            pref[0] = 0;
-            for (j = 0; j < m; j++)
-                pref[j + 1] = pref[j] + cur[j];
-            int newlen = m + width - 1;
-            for (k = 0; k < newlen; k++) {
-                int hi = k < m ? k + 1 : m, lo = k - width + 1;
-                nxt[k] = pref[hi] - (lo > 0 ? pref[lo] : 0);
-            }
-            swp = cur; cur = nxt; nxt = swp;
-            m = newlen;
-        }
-        for (k = 0; k < m; k++)
-            acc[k] += sign * cur[k];
-        if (m > acclen)
-            acclen = m;
-    } while (next_perm(perm, n, &sign));
-    result = ll_list(acc, trimmed(acc, acclen));
-
-done:
-    PyMem_Free(nd);
-    PyMem_Free(perm);
-    PyMem_Free(work);
-    return result_or_none(result);
-}
-
 static PyMethodDef speedups_methods[] = {
     {"bareiss_det", bareiss_det, METH_O,
      "Fraction-free elimination determinant, or None on overflow."},
-    {"perm_n_table", perm_n_table, METH_VARARGS,
-     "Signed histogram of permutation lengths, or None."},
-    {"perm_m_coeffs", perm_m_coeffs, METH_VARARGS,
-     "Signed sum of all-ones-polynomial products over permutations, or None."},
+    {"perm_tables", perm_tables, METH_VARARGS,
+     "The N- and M-tables of a distance table from one permutation sweep, or None."},
     {NULL, NULL, 0, NULL},
 };
 

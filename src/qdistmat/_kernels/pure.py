@@ -4,9 +4,9 @@ Kernel inputs are coefficient sequences (lists or tuples, never modified):
 little-endian by degree, plain Python ints, and canonical, so the last
 entry is nonzero and the zero polynomial is empty.  Results are lists
 in the same canonical form.  The compiled module ``_speedups``
-(hand-written C) implements ``bareiss_det``, ``perm_n_table`` and
-``perm_m_coeffs`` with machine-word fast paths; results must be
-identical.  ``poly_mul`` has no compiled twin.
+(hand-written C) implements ``bareiss_det`` and ``perm_tables`` with
+machine-word fast paths; results must be identical.  ``poly_mul`` has no
+compiled twin.
 
 ``bareiss_det`` does not eliminate over polynomials: it packs each entry
 into one integer by Kronecker substitution (q = 2^b), runs integer
@@ -22,12 +22,12 @@ width, at which decoding alone is exact, is the last resort.
 
 import itertools
 import math
+import operator
 
 __all__ = [
     "poly_mul",
     "bareiss_det",
-    "perm_n_table",
-    "perm_m_coeffs",
+    "perm_tables",
 ]
 
 
@@ -246,25 +246,6 @@ def _perm_signs(n):
     return signs
 
 
-def perm_n_table(dist, n):
-    """Signed histogram of permutation lengths sum_i d(i, p(i)), as a list.
-
-    Entry k is the even-minus-odd count of permutations of length k.  A
-    negative distance, which would index the list from its end, raises
-    ValueError.
-    """
-    if any(d < 0 for row in dist[:n] for d in row[:n]):
-        raise ValueError("distances must be nonnegative")
-    signs = _perm_signs(n)
-    table = [0] * (sum(max(row[:n]) for row in dist[:n]) + 1)
-    for idx, p in enumerate(itertools.permutations(range(n))):
-        s = 0
-        for i in range(n):
-            s += dist[i][p[i]]
-        table[s] += -1 if signs[idx] else 1
-    return _trim(table)
-
-
 def _ones_mul(a, width):
     # a * (1 + q + ... + q^(width-1)) via a sliding window of prefix sums
     m = len(a)
@@ -281,36 +262,54 @@ def _ones_mul(a, width):
     return out
 
 
-def perm_m_coeffs(dist, n):
-    """Signed sum over permutations of products of all-ones polynomials.
+def perm_tables(dist, n):
+    """Both permutation tables of the n x n table ``dist``, by their definitions.
 
-    Term for p is sgn(p) * prod_i (1 + q + ... + q^(d(i,p(i))-1)); any zero
-    distance kills the term, which subsumes the fixed-point rule for
-    genuine distance tables.  Returns a canonical coefficient list.
+    Returns (N, M) as canonical coefficient lists, from one sweep over the
+    n! permutations p.  N is the signed histogram of the lengths
+    L(p) = sum_i d(i, p(i)): entry k is the even-minus-odd count of
+    permutations of length k.  M is sum_p sgn(p) prod_i [d(i, p(i))], with
+    [d] = 1 + q + ... + q^(d-1); a zero distance kills the term, which
+    subsumes the fixed-point rule for distance tables.  A negative
+    distance, which would index the histogram from its end, raises
+    ValueError.
+
+    The compiled kernel reads M off a second histogram instead.  Since
+    [d](1 - q) = 1 - q^d,
+
+        (1 - q)^n M = sum_p sgn(p) prod_i (1 - q^d(i,p(i))).
+
+    Expand each product over the set S of rows that take the q-term.  The
+    term of (p, S) does not depend on p(i) for a row i outside S, so when
+    two or more rows lie outside S, swapping p(i) and p(j) for the two
+    smallest of them pairs it with a term of opposite sign.  Only S = all
+    rows survives, giving (-1)^n N, and S = all rows but i, giving
+    (-1)^(n-1) R with R = sum_p sgn(p) sum_i q^(L(p) - d(i, p(i))).  So
+    M = (-1)^n (N - R) / (1 - q)^n for every table of nonnegative
+    integers.  This kernel stays on the definition, so that the parity
+    tests check the identity and the compiled sweep against it.
     """
+    rows = [dist[i] for i in range(n)]  # a short table raises IndexError
+    if any(d < 0 for row in rows for d in row[:n]):
+        raise ValueError("distances must be nonnegative")
     signs = _perm_signs(n)
+    hist = [0] * (sum(max(row[:n]) for row in rows) + 1)
     acc = []
-    for idx, p in enumerate(itertools.permutations(range(n))):
-        widths = []
-        ok = True
-        for i in range(n):
-            d = dist[i][p[i]]
-            if d == 0:
-                ok = False
-                break
-            widths.append(d)
-        if not ok:
+    for odd, p in zip(signs, itertools.permutations(range(n))):
+        ds = list(map(operator.getitem, rows, p))
+        hist[sum(ds)] += -1 if odd else 1
+        if 0 in ds:
             continue
         prod = [1]
-        for w in widths:
+        for w in ds:
             if w > 1:
                 prod = _ones_mul(prod, w)
         if len(prod) > len(acc):
             acc.extend([0] * (len(prod) - len(acc)))
-        if signs[idx]:
+        if odd:
             for k, c in enumerate(prod):
                 acc[k] -= c
         else:
             for k, c in enumerate(prod):
                 acc[k] += c
-    return _trim(acc)
+    return _trim(hist), _trim(acc)

@@ -354,10 +354,11 @@ def cmd_perm_table(t, k_max, fmt):
     if t.n < 2 or t.n > permlab.PERM_MAX_N:
         raise click.UsageError(f"perm-table supports 2 <= n <= {permlab.PERM_MAX_N}")
     simple = t.is_simple()
+    n_table, m_table = permlab.perm_tables(t)
     tables = {
-        "N": (permlab.n_table_oracle(t), det_bareiss(build_dq_star(t)),
+        "N": (n_table, det_bareiss(build_dq_star(t)),
               permlab.n_closed_table(t.n) if simple else None),
-        "M": (permlab.m_table_oracle(t), det_bareiss(build_dq(t)),
+        "M": (m_table, det_bareiss(build_dq(t)),
               permlab.m_closed_table(t.n) if simple else None),
     }
     ok = True

@@ -17,7 +17,8 @@ multiset.  The suite checks
   v -> n conjugates D_q by a permutation, which keeps principal minors
   and moves the (u, v) cofactor to (1, n) unchanged;
 - up to n = 8, the generating-function identities: the brute-force
-  permutation tables N and M against det D*_q and det D_q.
+  permutation tables N and M, both from one sweep over the n!
+  permutations (``permlab.perm_tables``), against det D*_q and det D_q.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ def identity_suite(
             )
             results.append(("recurrence16", not lhs))
     if n <= 8:
-        results.append(("genfun_N", permlab.n_table_oracle(t) == det_dq_star))
-        results.append(("genfun_M", permlab.m_table_oracle(t) == det_dq))
+        n_table, m_table = permlab.perm_tables(t)
+        results.append(("genfun_N", n_table == det_dq_star))
+        results.append(("genfun_M", m_table == det_dq))
     return results, (det_d, det_dq, det_dq_star, det_dxj)

@@ -4,10 +4,12 @@ Two tables per tree, each returned as its generating polynomial
 sum_k c_k q^k: the signed histogram of permutation lengths
 sum_i d(v_i, v_sigma(i)) (the N-table), and the signed count of bounded
 compositions below those distances (the M-table).  The paper's results say
-these polynomials are det D*_q and det D_q; this module sums over all n!
-permutations and uses no determinant or matrix code, so it stays an
-independent check of the elimination route.  For simple trees both tables
-also have binomial closed forms.
+these polynomials are det D*_q and det D_q; ``perm_tables`` takes both
+from one sweep over all n! permutations and uses no determinant or matrix
+code, so it stays an independent check of the elimination route.  The
+compiled sweep reads M off N and one more signed histogram R, by the
+identity M = (-1)^n (N - R) / (1 - q)^n (``_kernels.pure.perm_tables``).
+For simple trees both tables also have binomial closed forms.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ __all__ = [
     "Permutation",
     "sign",
     "length_on_tree",
-    "n_table_oracle",
-    "m_table_oracle",
+    "perm_tables",
     "n_closed",
     "m_closed",
     "n_closed_table",
@@ -90,25 +91,17 @@ def length_on_tree(p: Permutation, d: DistanceTable) -> int:
     return sum(rows[i][p.images[i] - 1] for i in range(d.n))
 
 
-def _sweep_distances(t: WeightedTree):
-    if t.n > PERM_MAX_N:
-        raise ValueError(f"permutation sweeps capped at n = {PERM_MAX_N} (n! cost)")
-    return all_pairs_distances(t).rows
+def perm_tables(t: WeightedTree) -> tuple[Poly, Poly]:
+    """Both tables over all n! permutations: sum_k N_{n,k} q^k and sum_k M_{n,k} q^k.
 
-
-def n_table_oracle(t: WeightedTree) -> Poly:
-    """Signed length histogram over all n! permutations, as sum_k N_{n,k} q^k."""
-    return Poly(_kernels.perm_n_table(_sweep_distances(t), t.n))
-
-
-def m_table_oracle(t: WeightedTree) -> Poly:
-    """Signed bounded-composition counts over all n! permutations, as sum_k M_{n,k} q^k.
-
-    Internally sums per-permutation bracket products, whose k-th
+    The M-table sums per-permutation bracket products, whose k-th
     coefficients are exactly the composition counts; phi_count_direct is
     the independent route used to cross-check that equivalence.
     """
-    return Poly(_kernels.perm_m_coeffs(_sweep_distances(t), t.n))
+    if t.n > PERM_MAX_N:
+        raise ValueError(f"permutation sweeps capped at n = {PERM_MAX_N} (n! cost)")
+    n_coeffs, m_coeffs = _kernels.perm_tables(all_pairs_distances(t).rows, t.n)
+    return Poly(n_coeffs), Poly(m_coeffs)
 
 
 def n_closed(n: int, k: int) -> int:

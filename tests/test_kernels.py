@@ -19,9 +19,9 @@ from qdistmat.exactdet import det_cofactor
 from qdistmat.identities import closed_forms, identity_suite
 from qdistmat.polyring import Poly
 from qdistmat.qmatrix import PolyMatrix, build_d, build_dq, build_dq_star
-from qdistmat.treekit import from_edges, path_tree, random_tree, star_tree
+from qdistmat.treekit import all_pairs_distances, from_edges, path_tree, random_tree, star_tree
 
-COMPILED = ("bareiss_det", "perm_n_table", "perm_m_coeffs")
+COMPILED = ("bareiss_det", "perm_tables")
 
 
 def canon(items):
@@ -76,31 +76,42 @@ def test_bareiss_rejects_bad_shapes(speedups):
         speedups.bareiss_det([[[1]], [[1], [2]]])
 
 
-def test_perm_table_parity(speedups):
+def test_perm_tables_parity(speedups):
     rng = random.Random(4)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        dist = [[rng.randint(0, 6) for _ in range(n)] for _ in range(n)]
-        assert speedups.perm_n_table(dist, n) == pure.perm_n_table(dist, n)
-        assert speedups.perm_m_coeffs(dist, n) == pure.perm_m_coeffs(dist, n)
-    # a negative length would index the histogram from its end
-    assert speedups.perm_n_table([[0, -1], [2, 0]], 2) is None
+    for n in range(1, 8):
+        for _ in range(12 if n < 7 else 3):
+            dist = [[rng.choice([0, rng.randint(0, 6)]) for _ in range(n)] for _ in range(n)]
+            assert speedups.perm_tables(dist, n) == pure.perm_tables(dist, n), dist
+    for seed in range(2):
+        dist = all_pairs_distances(random_tree(8, 4, seed)).rows
+        assert speedups.perm_tables(dist, 8) == pure.perm_tables(dist, 8), seed
+
+
+def test_perm_tables_declines(monkeypatch, speedups):
+    monkeypatch.setattr(_kernels, "_speedups", speedups)
+    # a histogram as wide as these distances is past the C kernel's span
+    # cap; the pure kernel's dense answer would be as wide, so only the
+    # decline is checked here
+    assert speedups.perm_tables([[0, 10 ** 9], [10 ** 9, 0]], 2) is None
+    # the empty table is outside the C kernel's range, and the dispatcher
+    # answers with the pure kernel's empty product
+    assert speedups.perm_tables([], 0) is None
+    assert _kernels.perm_tables([], 0) == ([1], [1])
+
+
+def test_perm_tables_short_table_raises(speedups):
+    for kernel in (speedups.perm_tables, pure.perm_tables):
+        with pytest.raises(IndexError):
+            kernel([[0, 1]], 2)
+
+
+def test_perm_tables_negative_entry_raises(monkeypatch, speedups):
+    # a negative length would index the histograms from their end: the C
+    # kernel declines, and the pure one raises
+    monkeypatch.setattr(_kernels, "_speedups", speedups)
+    assert speedups.perm_tables([[0, -1], [2, 0]], 2) is None
     with pytest.raises(ValueError):
-        pure.perm_n_table([[0, -1], [2, 0]], 2)
-
-
-def test_perm_m_bound_guard(speedups):
-    # distances this large make the coefficient buffers unreasonable, so
-    # the compiled kernel declines and the pure path takes over
-    dist = [[0, 10 ** 9], [10 ** 9, 0]]
-    assert speedups.perm_m_coeffs(dist, 2) is None
-
-
-def test_perm_short_table_raises(speedups):
-    with pytest.raises(IndexError):
-        speedups.perm_n_table([[0, 1]], 2)
-    with pytest.raises(IndexError):
-        speedups.perm_m_coeffs([[0, 1]], 2)
+        _kernels.perm_tables([[0, -1], [2, 0]], 2)
 
 
 @pytest.mark.parametrize("t", [

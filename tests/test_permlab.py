@@ -1,6 +1,7 @@
 """Permutation statistics: oracles, closed forms, generating functions."""
 
 import ast
+import itertools
 import random
 from pathlib import Path
 
@@ -14,15 +15,14 @@ from qdistmat.permlab import (
     length_on_tree,
     m_closed,
     m_closed_table,
-    m_table_oracle,
     n_closed,
     n_closed_table,
-    n_table_oracle,
+    perm_tables,
     phi_count_direct,
     phi_count_poly,
     sign,
 )
-from qdistmat.polyring import Poly, qbracket
+from qdistmat.polyring import Poly, qbracket, qpower
 from qdistmat.qmatrix import build_dq, build_dq_star
 from qdistmat.treekit import (
     all_pairs_distances,
@@ -61,12 +61,12 @@ def test_length_examples():
 
 
 def test_n_table_p3():
-    assert n_table_oracle(path_tree(3, [1, 1])) == Poly([1, 0, -2, 0, 1])
+    assert perm_tables(path_tree(3, [1, 1]))[0] == Poly([1, 0, -2, 0, 1])
 
 
 def test_n_table_structure_independence_n4():
-    s = n_table_oracle(star_tree(4, [1, 1, 1]))
-    p = n_table_oracle(path_tree(4, [1, 1, 1]))
+    s = perm_tables(star_tree(4, [1, 1, 1]))[0]
+    p = perm_tables(path_tree(4, [1, 1, 1]))[0]
     assert s == p
 
 
@@ -74,7 +74,7 @@ def test_n_table_sums_to_zero():
     rng = random.Random(3)
     for _ in range(20):
         t = random_tree(rng.randint(2, 7), 3, rng.getrandbits(63))
-        assert sum(n_table_oracle(t).coeffs) == 0
+        assert sum(perm_tables(t)[0].coeffs) == 0
 
 
 def test_n_closed_examples():
@@ -105,20 +105,45 @@ def test_phi_dual_oracles():
     propcheck.check_phi_dual_oracles()
 
 
+def literal_tables(t):
+    # both tables from their definitions, one Permutation object at a time
+    d = all_pairs_distances(t)
+    n_table = m_table = Poly()
+    for images in itertools.permutations(range(1, t.n + 1)):
+        p = Permutation(images)
+        n_table += sign(p) * qpower(length_on_tree(p, d))
+        m_table += sign(p) * phi_count_poly(p, d)
+    return n_table, m_table
+
+
+def literal_route_trees():
+    for n in range(2, 6):
+        yield from enumerate_trees(n)
+    rng = random.Random(16)
+    for _ in range(20):
+        yield random_tree(rng.randint(2, 6), 4, rng.getrandbits(63))
+
+
+def test_tables_match_their_definitions():
+    # every labelled tree with n <= 5 and 20 weighted trees with n <= 6
+    for t in literal_route_trees():
+        assert perm_tables(t) == literal_tables(t), t.edges
+
+
 def test_m_table_p3():
-    assert m_table_oracle(path_tree(3, [1, 1])) == Poly([2, 2])
+    assert perm_tables(path_tree(3, [1, 1]))[1] == Poly([2, 2])
 
 
 def test_m_table_n4_both_shapes():
     for t in (path_tree(4, [1, 1, 1]), star_tree(4, [1, 1, 1])):
-        assert m_table_oracle(t) == Poly([-3, -6, -3])
+        assert perm_tables(t)[1] == Poly([-3, -6, -3])
 
 
 def test_m_table_matches_determinant_weighted():
     rng = random.Random(10)
     for _ in range(20):
         t = random_tree(rng.randint(2, 6), 3, rng.getrandbits(63))
-        assert m_table_oracle(t) == det_bareiss(build_dq(t)), t.edges
+        assert perm_tables(t)[1] == det_bareiss(build_dq(t)), t.edges
 
 
 def test_m_closed_examples():
@@ -139,8 +164,7 @@ def test_closed_forms_match_oracles_exhaustive_small():
     for n in range(2, 6):
         nc, mc = n_closed_table(n), m_closed_table(n)
         for t in enumerate_trees(n):
-            assert n_table_oracle(t) == nc, t.edges
-            assert m_table_oracle(t) == mc, t.edges
+            assert perm_tables(t) == (nc, mc), t.edges
 
 
 def test_closed_forms_match_oracles_random_78():
@@ -148,42 +172,37 @@ def test_closed_forms_match_oracles_random_78():
     for i in range(50):
         n = 7 + (i % 2)
         t = random_tree(n, 1, rng.getrandbits(63))
-        assert n_table_oracle(t) == n_closed_table(n), t.edges
-        assert m_table_oracle(t) == m_closed_table(n), t.edges
+        assert perm_tables(t) == (n_closed_table(n), m_closed_table(n)), t.edges
 
 
 def test_closed_forms_at_perm_cap():
     # the largest supported sweep: 362880 permutations
     t = random_tree(permlab.PERM_MAX_N, 1, seed=90)
-    assert n_table_oracle(t) == n_closed_table(t.n)
-    assert m_table_oracle(t) == m_closed_table(t.n)
+    assert perm_tables(t) == (n_closed_table(t.n), m_closed_table(t.n))
 
 
 def test_n_odd_vanishes_simple():
     rng = random.Random(12)
     for _ in range(20):
         t = random_tree(rng.randint(2, 7), 1, rng.getrandbits(63))
-        assert not any(n_table_oracle(t).coeffs[1::2]), t.edges
+        assert not any(perm_tables(t)[0].coeffs[1::2]), t.edges
 
 
 def test_m_sum_is_graham_pollak():
     for n in range(2, 7):
         t = random_tree(n, 1, seed=n)
-        total = sum(m_table_oracle(t).coeffs)
+        total = sum(perm_tables(t)[1].coeffs)
         assert total == -(n - 1) * (-2) ** (n - 2)
 
 
 def test_perm_cap():
     t = random_tree(permlab.PERM_MAX_N + 1, 1, 0)
     with pytest.raises(ValueError):
-        n_table_oracle(t)
-    with pytest.raises(ValueError):
-        m_table_oracle(t)
+        perm_tables(t)
 
 
 def _generating_functions_hold(t):
-    return (n_table_oracle(t) == det_bareiss(build_dq_star(t))
-            and m_table_oracle(t) == det_bareiss(build_dq(t)))
+    return perm_tables(t) == (det_bareiss(build_dq_star(t)), det_bareiss(build_dq(t)))
 
 
 def test_generating_function_check():
@@ -203,8 +222,8 @@ def test_generating_functions_random_weighted():
 def test_generating_functions_n2_weighted():
     alpha = 3
     t = from_edges(2, [(1, 2, alpha)])
-    assert n_table_oracle(t) == Poly([1] + [0] * (2 * alpha - 1) + [-1])
-    assert m_table_oracle(t) == -(qbracket(alpha) * qbracket(alpha))
+    assert perm_tables(t) == (Poly([1] + [0] * (2 * alpha - 1) + [-1]),
+                              -(qbracket(alpha) * qbracket(alpha)))
     assert _generating_functions_hold(t)
 
 
