@@ -9,7 +9,6 @@ permutation statistics.
 from ._kernels import BACKEND as kernel_backend
 from .polyring import Poly, qbracket, qpower
 from .treekit import (
-    DistanceTable,
     InvalidTreeError,
     WeightedTree,
     all_pairs_distances,
@@ -20,7 +19,7 @@ from .treekit import (
     random_tree,
     star_tree,
 )
-from .qmatrix import PolyMatrix, build_d, build_d_plus_xJ, build_dq, build_dq_star, minor
+from .qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star, minor
 from .exactdet import check_dodgson_identity, det_bareiss, det_cofactor
 
 __version__ = "0.1.0"
@@ -31,7 +30,6 @@ __all__ = [
     "qbracket",
     "qpower",
     "WeightedTree",
-    "DistanceTable",
     "InvalidTreeError",
     "from_edges",
     "prufer_decode",
@@ -40,7 +38,6 @@ __all__ = [
     "path_tree",
     "star_tree",
     "all_pairs_distances",
-    "PolyMatrix",
     "build_d",
     "build_dq",
     "build_dq_star",

@@ -6,18 +6,11 @@ built by ``setup.py`` when a C compiler is present) implements
 overflow detection; whenever a computation cannot be carried out safely in
 64-bit words it returns None and the pure-Python kernel takes over, so
 results never depend on which backend ran.  Set
-``QDISTMAT_PURE=1`` to force the pure backend.  ``poly_mul`` is always the
-pure schoolbook product: since the closed forms are computed once per
-weight multiset, too few products remain for a compiled one to pay.
+``QDISTMAT_PURE=1`` to force the pure backend.
 
-The pure ``bareiss_det`` is a Kronecker-substitution determinant: entries
-are evaluated at q = 2^b, one fraction-free integer elimination follows,
-and the signed base-2^b digits of the result are read back as the
-determinant's coefficients.  Decoding alone is exact once 2^(b-1) exceeds
-the Hadamard bound sqrt(prod_i sum_j ||M_ij||_1^2) on the coefficients;
-below that width the decoded polynomial is accepted only after it matches
-the determinant at enough small integer points, and b doubles otherwise.
-See ``pure.bareiss_det`` for the proof sketch.
+The pure ``bareiss_det`` eliminates over the integers after Kronecker
+substitution; ``pure.bareiss_det`` gives the method and its proof of
+exactness.
 
 ``perm_tables`` returns both permutation tables of a distance table, the
 signed length histogram N and the signed bracket-product sum M, from one
@@ -43,7 +36,6 @@ BACKEND = "compiled" if _speedups is not None else "pure"
 
 __all__ = [
     "BACKEND",
-    "poly_mul",
     "bareiss_det",
     "perm_tables",
 ]
@@ -69,6 +61,5 @@ def _dispatch(name):
     return kernel
 
 
-poly_mul = _pure.poly_mul
 bareiss_det = _dispatch("bareiss_det")
 perm_tables = _dispatch("perm_tables")

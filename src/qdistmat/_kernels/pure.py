@@ -5,8 +5,7 @@ little-endian by degree, plain Python ints, and canonical, so the last
 entry is nonzero and the zero polynomial is empty.  Results are lists
 in the same canonical form.  The compiled module ``_speedups``
 (hand-written C) implements ``bareiss_det`` and ``perm_tables`` with
-machine-word fast paths; results must be identical.  ``poly_mul`` has no
-compiled twin.
+machine-word fast paths; results must be identical.
 
 ``bareiss_det`` does not eliminate over polynomials: it packs each entry
 into one integer by Kronecker substitution (q = 2^b), runs integer
@@ -25,7 +24,6 @@ import math
 import operator
 
 __all__ = [
-    "poly_mul",
     "bareiss_det",
     "perm_tables",
 ]
@@ -37,18 +35,6 @@ def _trim(coeffs):
         n -= 1
     del coeffs[n:]
     return coeffs
-
-
-def poly_mul(a, b):
-    """Convolution product of two canonical coefficient sequences."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out  # leading product of nonzeros is nonzero over the integers
 
 
 def bareiss_det(rows):
@@ -225,24 +211,16 @@ def _unpack(v, bits):
     return out
 
 
-_SIGN_CACHE = {}
-
-
 def _perm_signs(n):
-    # parity of every permutation of range(n) in lexicographic order
-    signs = _SIGN_CACHE.get(n)
-    if signs is None:
-        signs = bytearray()
-        for p in itertools.permutations(range(n)):
-            inv = 0
-            for i in range(n):
-                pi = p[i]
-                for j in range(i + 1, n):
-                    if pi > p[j]:
-                        inv += 1
-            signs.append(inv & 1)
-        signs = bytes(signs)
-        _SIGN_CACHE[n] = signs
+    # parity of every permutation of range(n) in itertools.permutations
+    # order.  The block of permutations that start with a lists the rest in
+    # the order of the permutations of n - 1 elements, and putting a in
+    # front costs a transpositions: the parities of n - 1, written out n
+    # times, with block a flipped when a is odd.
+    signs = b"\x00"
+    for m in range(2, n + 1):
+        flipped = bytes(s ^ 1 for s in signs)
+        signs = b"".join(flipped if a & 1 else signs for a in range(m))
     return signs
 
 

@@ -10,15 +10,13 @@ check_dodgson_identity evaluates both sides of the condensation identity
 
 for any two rows and columns i < j, by default the first and last.
 
-Bareiss runs in the kernel layer.  The compiled C kernel eliminates over
-polynomials in 64-bit words; the pure kernel, which also takes over when
-the compiled one would overflow, substitutes q = 2^b, eliminates over the
-integers and reads the determinant back as signed base-2^b digits.  A
-width below the Hadamard bound sqrt(prod_i sum_j ||M_ij||_1^2) is tried
-first and the decoded determinant is certified by evaluations at small
-integers (Landau's inequality bounds how many a wrong one could pass);
-on a mismatch the width doubles, and at the Hadamard width, which by
-Parseval bounds every coefficient, decoding alone is exact.
+A matrix is a tuple of rows of canonical coefficient tuples, as the
+``qmatrix`` builders return it.  Bareiss runs in the kernel layer
+(``_kernels.bareiss_det``): the compiled C kernel eliminates over
+polynomials in 64-bit words, and the pure kernel, which also takes over
+when the compiled one would overflow, eliminates over the integers after
+Kronecker substitution; ``_kernels.pure.bareiss_det`` gives the method and
+its proof of exactness.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from typing import Optional
 
 from . import _kernels
 from .polyring import Poly, _make
-from .qmatrix import PolyMatrix, minor
+from .qmatrix import minor
 
 __all__ = [
     "det_bareiss",
@@ -40,21 +38,22 @@ __all__ = [
 COFACTOR_MAX_ORDER = 6
 
 
-def det_bareiss(m: PolyMatrix) -> Poly:
+def det_bareiss(m: tuple) -> Poly:
     """Exact determinant by fraction-free single-step elimination.
 
-    On the pure backend the elimination runs over the integers after
-    Kronecker substitution (see the module docstring).  The kernel reads
-    the matrix's rows of coefficient tuples as they are stored.
+    The kernel reads the rows of coefficient tuples as they are stored; it
+    raises ValueError on an empty or non-square matrix.
     """
-    return _make(_kernels.bareiss_det(m.rows))
+    return _make(_kernels.bareiss_det(m))
 
 
-def det_cofactor(m: PolyMatrix) -> Poly:
+def det_cofactor(m: tuple) -> Poly:
     """Determinant by Laplace expansion along the first row (order <= 6)."""
-    if m.n > COFACTOR_MAX_ORDER:
+    if not m or any(len(row) != len(m) for row in m):
+        raise ValueError("matrix must be square and non-empty")
+    if len(m) > COFACTOR_MAX_ORDER:
         raise ValueError(f"cofactor oracle capped at order {COFACTOR_MAX_ORDER}")
-    return _cofactor(m.rows)
+    return _cofactor(m)
 
 
 def _cofactor(rows) -> Poly:
@@ -72,7 +71,7 @@ def _cofactor(rows) -> Poly:
     return acc
 
 
-def minor_det(m: PolyMatrix, rows: tuple[int, ...], cols: tuple[int, ...],
+def minor_det(m: tuple, rows: tuple[int, ...], cols: tuple[int, ...],
               dets: dict) -> Poly:
     """Determinant of m with the 1-based rows and cols deleted (none: m itself).
 
@@ -86,7 +85,7 @@ def minor_det(m: PolyMatrix, rows: tuple[int, ...], cols: tuple[int, ...],
     return dets[key]
 
 
-def check_dodgson_identity(m: PolyMatrix, dets: Optional[dict] = None,
+def check_dodgson_identity(m: tuple, dets: Optional[dict] = None,
                            pair: Optional[tuple[int, int]] = None) -> bool:
     """Evaluate both sides of the condensation identity on a full matrix.
 
@@ -99,7 +98,7 @@ def check_dodgson_identity(m: PolyMatrix, dets: Optional[dict] = None,
     at least 3.  ``dets``, as in ``minor_det``, lets a caller share these
     determinants with other identities on the same matrix.
     """
-    n = m.n
+    n = len(m)
     if n < 3:
         raise ValueError("identity check needs order >= 3")
     i, j = (1, n) if pair is None else pair

@@ -18,7 +18,7 @@ import math
 
 from . import _kernels
 from .polyring import ONE, Poly, qbracket
-from .treekit import DistanceTable, WeightedTree, all_pairs_distances
+from .treekit import WeightedTree, all_pairs_distances
 
 __all__ = [
     "PERM_MAX_N",
@@ -83,12 +83,12 @@ def sign(p: Permutation) -> int:
     return -1 if (n - cycles) % 2 else 1
 
 
-def length_on_tree(p: Permutation, d: DistanceTable) -> int:
-    """Tree length of a permutation: sum over i of d(v_i, v_sigma(i))."""
-    if len(p) != d.n:
-        raise ValueError(f"permutation of size {len(p)} on table of size {d.n}")
-    rows = d.rows
-    return sum(rows[i][p.images[i] - 1] for i in range(d.n))
+def length_on_tree(p: Permutation, d: tuple) -> int:
+    """Tree length of a permutation: sum over i of d(v_i, v_sigma(i)).
+
+    ``d`` is a distance table as ``all_pairs_distances`` returns it.
+    """
+    return sum(_phi_bounds(p, d))
 
 
 def perm_tables(t: WeightedTree) -> tuple[Poly, Poly]:
@@ -100,7 +100,7 @@ def perm_tables(t: WeightedTree) -> tuple[Poly, Poly]:
     """
     if t.n > PERM_MAX_N:
         raise ValueError(f"permutation sweeps capped at n = {PERM_MAX_N} (n! cost)")
-    n_coeffs, m_coeffs = _kernels.perm_tables(all_pairs_distances(t).rows, t.n)
+    n_coeffs, m_coeffs = _kernels.perm_tables(all_pairs_distances(t), t.n)
     return Poly(n_coeffs), Poly(m_coeffs)
 
 
@@ -131,13 +131,14 @@ def m_closed_table(n: int) -> Poly:
     return Poly(m_closed(n, k) for k in range(n - 1))
 
 
-def _phi_bounds(p: Permutation, d: DistanceTable) -> list[int]:
-    if len(p) != d.n:
-        raise ValueError(f"permutation of size {len(p)} on table of size {d.n}")
-    return [d.rows[i][p.images[i] - 1] for i in range(d.n)]
+def _phi_bounds(p: Permutation, d: tuple) -> list[int]:
+    # d(v_i, v_sigma(i)) for each i
+    if len(p) != len(d):
+        raise ValueError(f"permutation of size {len(p)} on table of size {len(d)}")
+    return [row[j - 1] for row, j in zip(d, p.images)]
 
 
-def phi_count_direct(p: Permutation, d: DistanceTable, k: int) -> int:
+def phi_count_direct(p: Permutation, d: tuple, k: int) -> int:
     """Count compositions x_1+...+x_n = k with 0 <= x_i < d(v_i, v_sigma(i)).
 
     Dynamic programming over positions; a zero bound (in particular any
@@ -161,7 +162,7 @@ def phi_count_direct(p: Permutation, d: DistanceTable, k: int) -> int:
     return ways[k]
 
 
-def phi_count_poly(p: Permutation, d: DistanceTable) -> Poly:
+def phi_count_poly(p: Permutation, d: tuple) -> Poly:
     """Generating polynomial of the composition counts: prod of brackets.
 
     The k-th coefficient equals phi_count_direct(p, d, k) for every k.

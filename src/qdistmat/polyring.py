@@ -16,8 +16,6 @@ import operator
 import re
 from typing import Iterable, Sequence
 
-from . import _kernels
-
 __all__ = [
     "Poly",
     "qbracket",
@@ -93,7 +91,15 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _make(_kernels.poly_mul(self.coeffs, other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return _make(out)  # leading product of nonzeros is nonzero over the integers
 
     __rmul__ = __mul__
 

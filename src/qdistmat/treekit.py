@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "InvalidTreeError",
     "WeightedTree",
-    "DistanceTable",
     "from_edges",
     "prufer_decode",
     "enumerate_trees",
@@ -137,23 +136,6 @@ class WeightedTree:
         return f"WeightedTree(n={self.n}, edges={list(self.edges)})"
 
 
-class DistanceTable:
-    """Symmetric table of exact pairwise tree distances."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
-        self.n = len(self.rows)
-
-    def d(self, u: int, v: int) -> int:
-        """Distance between vertices with 1-based labels u and v."""
-        return self.rows[u - 1][v - 1]
-
-    def __repr__(self) -> str:
-        return f"DistanceTable(n={self.n})"
-
-
 def from_edges(n: int, edges: Iterable[tuple[int, int, int]]) -> WeightedTree:
     """Validate and build a weighted tree from an explicit edge list."""
     return WeightedTree(n, edges)
@@ -265,11 +247,11 @@ def star_tree(n: int, weights: Sequence[int]) -> WeightedTree:
     return WeightedTree(n, [(i, n, weights[i - 1]) for i in range(1, n)])
 
 
-def all_pairs_distances(t: WeightedTree) -> DistanceTable:
+def all_pairs_distances(t: WeightedTree) -> tuple[tuple[int, ...], ...]:
     """Exact distances via one traversal per source vertex, O(n^2) total.
 
-    The table is computed once per tree and kept on it; later calls return
-    the same (immutable) object.
+    Row i - 1, column j - 1 holds d(v_i, v_j).  The table is computed once
+    per tree and kept on it; later calls return the same tuple of tuples.
     """
     if t._dist is not None:
         return t._dist
@@ -286,8 +268,8 @@ def all_pairs_distances(t: WeightedTree) -> DistanceTable:
                 if u != parent:
                     dist[u] = dv + w
                     stack.append((u, v))
-        rows.append(dist[1:])
-    t._dist = DistanceTable(rows)
+        rows.append(tuple(dist[1:]))
+    t._dist = tuple(rows)
     return t._dist
 
 

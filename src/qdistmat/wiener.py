@@ -10,12 +10,9 @@ __all__ = ["wiener_poly", "wiener_index"]
 
 def wiener_poly(t: WeightedTree) -> Poly:
     """Sum over unordered vertex pairs of q^d(u, v)."""
-    dist = all_pairs_distances(t)
     coeffs = [0]
-    for i in range(t.n):
-        row = dist.rows[i]
-        for j in range(i + 1, t.n):
-            d = row[j]
+    for i, row in enumerate(all_pairs_distances(t)):
+        for d in row[i + 1:]:
             if d >= len(coeffs):
                 coeffs.extend([0] * (d - len(coeffs) + 1))
             coeffs[d] += 1

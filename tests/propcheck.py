@@ -6,7 +6,7 @@ import random
 from qdistmat.exactdet import det_bareiss, det_cofactor
 from qdistmat.permlab import Permutation, phi_count_direct, phi_count_poly
 from qdistmat.polyring import Poly, qbracket, qpower
-from qdistmat.qmatrix import PolyMatrix, build_dq, build_dq_star
+from qdistmat.qmatrix import build_dq, build_dq_star
 from qdistmat.treekit import all_pairs_distances, enumerate_trees, random_tree, relabel
 
 
@@ -43,7 +43,8 @@ def check_bracket_eval():
 
 
 def random_int_matrix(rng, n, bound=9):
-    return PolyMatrix([[Poly([rng.randint(-bound, bound)]) for _ in range(n)] for _ in range(n)])
+    return tuple(tuple(Poly([rng.randint(-bound, bound)]).coeffs for _ in range(n))
+                 for _ in range(n))
 
 
 def check_bareiss_cofactor_agreement(seed=303, int_trials=500, tree_trials=100):

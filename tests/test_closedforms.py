@@ -209,8 +209,8 @@ def test_column_elimination_step():
                 for (u, v, w) in t.edges
                 if p in (u, v)
             )
-            col_p = [m.entry(i, p) for i in range(1, t.n + 1)]
-            col_s = [m.entry(i, s) for i in range(1, t.n + 1)]
+            col_p = [Poly(row[p - 1]) for row in m]
+            col_s = [Poly(row[s - 1]) for row in m]
             diff = [a - qpower(w) * b for a, b in zip(col_p, col_s)]
             for i, e in enumerate(diff, start=1):
                 if i == p:

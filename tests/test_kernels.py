@@ -18,7 +18,7 @@ from qdistmat._kernels import BACKEND, pure
 from qdistmat.exactdet import det_cofactor
 from qdistmat.identities import closed_forms, identity_suite
 from qdistmat.polyring import Poly
-from qdistmat.qmatrix import PolyMatrix, build_d, build_dq, build_dq_star
+from qdistmat.qmatrix import build_d, build_dq, build_dq_star
 from qdistmat.treekit import all_pairs_distances, from_edges, path_tree, random_tree, star_tree
 
 COMPILED = ("bareiss_det", "perm_tables")
@@ -44,7 +44,6 @@ def test_compiled_module_exports_the_dispatched_kernels(speedups):
     dispatched = {name for name in _kernels.__all__
                   if getattr(getattr(_kernels, name), "__module__", None) == _kernels.__name__}
     assert exported == dispatched == set(COMPILED)
-    assert _kernels.poly_mul is pure.poly_mul
 
 
 def test_bareiss_parity(speedups):
@@ -83,7 +82,7 @@ def test_perm_tables_parity(speedups):
             dist = [[rng.choice([0, rng.randint(0, 6)]) for _ in range(n)] for _ in range(n)]
             assert speedups.perm_tables(dist, n) == pure.perm_tables(dist, n), dist
     for seed in range(2):
-        dist = all_pairs_distances(random_tree(8, 4, seed)).rows
+        dist = all_pairs_distances(random_tree(8, 4, seed))
         assert speedups.perm_tables(dist, 8) == pure.perm_tables(dist, 8), seed
 
 
@@ -161,8 +160,7 @@ def test_pure_bareiss_rejects_bad_shapes():
 
 
 def cofactor_det(rows):
-    m = PolyMatrix([[Poly(e) for e in row] for row in rows])
-    return list(det_cofactor(m).coeffs)
+    return list(det_cofactor(rows).coeffs)
 
 
 def test_pure_bareiss_matches_cofactor():
@@ -288,17 +286,13 @@ def test_pure_bareiss_independent_of_vertex_order(n):
     order = random.Random(n).sample(range(n), n)
     for build, closed in ((build_dq, closedforms.dq_closed),
                           (build_dq_star, closedforms.dq_star_closed)):
-        rows = build(t).rows
+        rows = build(t)
         conj = [[rows[i][j] for j in order] for i in order]
         want = list(closed(t.weights).coeffs)
         assert pure.bareiss_det(rows) == pure.bareiss_det(conj) == want, build.__name__
 
 
 # -- pure bareiss_det: narrow decoding, its certificate, and widening ---------
-
-
-def coeff_rows(m):
-    return list(m.rows)
 
 
 def scale_first_row(rows, factor):
@@ -319,7 +313,7 @@ def test_pure_bareiss_takes_constant_matrices_in_one_elimination(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(pure, "_int_det", int_det)
-    rows = build_d(t).rows
+    rows = build_d(t)
     assert (hadamard_sq(rows).bit_length() + 1) // 2 + 2 > 64
     assert pure.bareiss_det(rows) == [closedforms.bkn_det(t.weights)]
     assert calls == [24]
@@ -329,7 +323,7 @@ def test_pure_bareiss_widens_after_failed_certificates(monkeypatch):
     # det D*_q(1) = 0 puts the first width at 32 bits, and the scaled row
     # puts every coefficient of the determinant past 2^80
     t = random_tree(22, 4, 5)
-    rows = scale_first_row(coeff_rows(build_dq_star(t)), 2 ** 80)
+    rows = scale_first_row(list(build_dq_star(t)), 2 ** 80)
     verdicts = []
 
     def certified(*args, real=pure._certified):
@@ -344,23 +338,23 @@ def test_pure_bareiss_widens_after_failed_certificates(monkeypatch):
 
 def test_pure_bareiss_widening_matches_cofactor():
     for n in range(2, 7):
-        rows = scale_first_row(coeff_rows(build_dq_star(random_tree(n, 4, n))), 2 ** 80)
+        rows = scale_first_row(list(build_dq_star(random_tree(n, 4, n))), 2 ** 80)
         assert pure.bareiss_det(rows) == cofactor_det(rows), n
     rng = random.Random(9)
     for _ in range(60):
         n = rng.randint(1, 6)
         rows = [[random_coeffs(rng, 4, 30) for _ in range(n)] for _ in range(n)]
         # a first row divisible by q - 1 makes det M(1) = 0 as well
-        rows[0] = [pure.poly_mul(e, [-2 ** 80, 2 ** 80]) for e in rows[0]]
+        rows[0] = [list((Poly(e) * Poly([-2 ** 80, 2 ** 80])).coeffs) for e in rows[0]]
         assert pure.bareiss_det(rows) == cofactor_det(rows), rows
 
 
 def forged(p, roots):
     # p + prod (q - r): equal to p exactly at the roots
-    r = [1]
+    r = Poly([1])
     for x in roots:
-        r = pure.poly_mul(r, [-x, 1])
-    return canon(a + b for a, b in zip_longest(p, r, fillvalue=0))
+        r = r * Poly([-x, 1])
+    return canon(a + b for a, b in zip_longest(p, r.coeffs, fillvalue=0))
 
 
 def test_certificate_needs_more_points_than_the_degree():

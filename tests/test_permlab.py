@@ -9,6 +9,7 @@ import pytest
 
 import propcheck
 from qdistmat import closedforms, permlab
+from qdistmat._kernels import pure
 from qdistmat.exactdet import det_bareiss
 from qdistmat.permlab import (
     Permutation,
@@ -49,6 +50,16 @@ def test_sign_examples():
     assert sign(Permutation([4, 3, 2, 1])) == 1
     assert sign(Permutation([2, 1, 4, 3])) == 1
     assert sign(Permutation([3, 2, 1])) == -1
+
+
+def test_pure_sweep_signs_match_sign():
+    # the pure sweep's parities, built by blocks, against the cycle count
+    for n in range(8):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        signs = pure._perm_signs(n)
+        assert len(signs) == len(perms)
+        for odd, p in zip(signs, perms):
+            assert (-1 if odd else 1) == sign(Permutation(p)), p
 
 
 def test_length_examples():

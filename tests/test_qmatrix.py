@@ -6,7 +6,6 @@ import pytest
 
 from qdistmat.polyring import Poly, qbracket, qpower
 from qdistmat.qmatrix import (
-    PolyMatrix,
     build_d,
     build_d_plus_xJ,
     build_dq,
@@ -18,7 +17,12 @@ from qdistmat.treekit import all_pairs_distances, from_edges, path_tree, random_
 
 def values_at(m, t):
     """Entrywise integer evaluation at t."""
-    return tuple(tuple(Poly(e).eval_int(t) for e in row) for row in m.rows)
+    return tuple(tuple(Poly(e).eval_int(t) for e in row) for row in m)
+
+
+def entry(m, i, j):
+    """Entry at 1-based position (i, j), as a Poly."""
+    return Poly(m[i - 1][j - 1])
 
 
 def test_build_d_examples():
@@ -27,16 +31,16 @@ def test_build_d_examples():
     p3 = build_d(path_tree(3, [1, 1]))
     assert values_at(p3, 0) == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
     t = random_tree(6, 3, 17)
-    assert all(build_d(t).entry(i, i) == Poly() for i in range(1, 7))
+    assert all(entry(build_d(t), i, i) == Poly() for i in range(1, 7))
 
 
 def test_build_dq_examples():
     m = build_dq(path_tree(3, [1, 1]))
-    assert m.entry(1, 2) == Poly([1])
-    assert m.entry(1, 3) == Poly([1, 1])
+    assert entry(m, 1, 2) == Poly([1])
+    assert entry(m, 1, 3) == Poly([1, 1])
     s = build_dq(star_tree(4, [2, 3, 5]))
-    assert s.entry(1, 2) == qbracket(2 + 3)
-    assert s.entry(1, 4) == qbracket(2)
+    assert entry(s, 1, 2) == qbracket(2 + 3)
+    assert entry(s, 1, 4) == qbracket(2)
 
 
 def test_build_dq_specializes_to_d():
@@ -47,22 +51,22 @@ def test_build_dq_specializes_to_d():
 
 def test_build_dq_star_examples():
     m = build_dq_star(from_edges(2, [(1, 2, 3)]))
-    assert m.entry(1, 2) == qpower(3)
-    assert m.entry(1, 1) == Poly([1])
+    assert entry(m, 1, 2) == qpower(3)
+    assert entry(m, 1, 1) == Poly([1])
     p3 = build_dq_star(path_tree(3, [1, 1]))
-    assert [str(p3.entry(1, j)) for j in (1, 2, 3)] == ["1", "q", "q^2"]
+    assert [str(entry(p3, 1, j)) for j in (1, 2, 3)] == ["1", "q", "q^2"]
     t = random_tree(7, 2, 3)
-    assert all(build_dq_star(t).entry(i, i) == Poly([1]) for i in range(1, 8))
+    assert all(entry(build_dq_star(t), i, i) == Poly([1]) for i in range(1, 8))
 
 
 def test_build_d_plus_xj():
     m = build_d_plus_xJ(from_edges(2, [(1, 2, 1)]))
-    assert m.entry(1, 1) == Poly([0, 1])
-    assert m.entry(1, 2) == Poly([1, 1])
+    assert entry(m, 1, 1) == Poly([0, 1])
+    assert entry(m, 1, 2) == Poly([1, 1])
     t = random_tree(5, 3, 7)
     shifted = build_d_plus_xJ(t)
     assert values_at(shifted, 0) == values_at(build_d(t), 0)
-    assert all(len(e) == 2 and e[1] == 1 for row in shifted.rows for e in row)
+    assert all(len(e) == 2 and e[1] == 1 for row in shifted for e in row)
 
 
 def test_symmetry_invariants():
@@ -70,15 +74,15 @@ def test_symmetry_invariants():
         t = random_tree(random.Random(seed).randint(2, 7), 4, seed)
         for builder in (build_d, build_dq, build_dq_star):
             m = builder(t)
-            assert m.rows == tuple(zip(*m.rows))
+            assert m == tuple(zip(*m))
 
 
 def test_minor_identity_and_singletons():
     m = build_dq(path_tree(3, [1, 1]))
     assert minor(m, set(), set()) == m
-    mid = minor(PolyMatrix([[Poly([i * 3 + j]) for j in range(1, 4)] for i in range(3)]),
+    mid = minor(tuple(tuple((i * 3 + j,) for j in range(1, 4)) for i in range(3)),
                 {1, 3}, {1, 3})
-    assert mid.rows == (((5,),),)
+    assert mid == (((5,),),)
 
 
 def _drop_pendant(t, p):
@@ -132,43 +136,29 @@ def test_minor_validation():
         minor(m, {1, 2, 3}, {1, 2, 3})
 
 
-def test_matrix_validation():
-    with pytest.raises(ValueError):
-        PolyMatrix([])
-    with pytest.raises(ValueError):
-        PolyMatrix([[Poly([1])], [Poly([1]), Poly([2])]])
-    with pytest.raises(TypeError):
-        PolyMatrix([[1]])
-
-
 def test_entry_strings():
     m = build_dq(path_tree(3, [1, 1]))
-    assert [[str(m.entry(i, j)) for j in (1, 2, 3)] for i in (1, 2, 3)] == [
+    assert [[str(entry(m, i, j)) for j in (1, 2, 3)] for i in (1, 2, 3)] == [
         ["0", "1", "1 + q"],
         ["1", "0", "1"],
         ["1 + q", "1", "0"],
     ]
 
 
-def test_matrix_stores_coefficient_tuples():
-    m = PolyMatrix([[Poly([1, 2]), Poly()], [Poly([0, 0, 3]), Poly([-4])]])
-    assert m.rows == (((1, 2), ()), ((0, 0, 3), (-4,)))
-    assert m.entry(2, 1) == Poly([0, 0, 3])
-
-
 def test_builders_share_one_canonical_tuple_per_distance():
     rng = random.Random(5)
     for _ in range(20):
         t = random_tree(rng.randint(2, 8), 4, rng.getrandbits(63))
-        dist = all_pairs_distances(t).rows
+        dist = all_pairs_distances(t)
         for builder in (build_d, build_d_plus_xJ, build_dq, build_dq_star):
             m = builder(t)
+            assert type(m) is tuple and all(type(row) is tuple for row in m)
             shared = {}
-            for drow, row in zip(dist, m.rows):
+            for drow, row in zip(dist, m):
                 for x, e in zip(drow, row):
                     assert type(e) is tuple and all(type(c) is int for c in e)
                     assert Poly(e).coeffs == e  # canonical: no trailing zero
                     assert shared.setdefault(x, e) is e, (builder.__name__, x)
             sub = minor(m, {1}, {1})
-            assert all(e is shared[x] for drow, row in zip(dist[1:], sub.rows)
+            assert all(e is shared[x] for drow, row in zip(dist[1:], sub)
                        for x, e in zip(drow[1:], row))

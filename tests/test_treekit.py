@@ -114,11 +114,11 @@ def test_random_tree_validates():
 def test_path_star_shapes():
     p4 = path_tree(4, [1, 1, 1])
     d = all_pairs_distances(p4)
-    assert d.d(1, 4) == 3
+    assert d[0][3] == 3
     s4 = star_tree(4, [2, 3, 5])
     ds = all_pairs_distances(s4)
-    assert ds.d(1, 2) == 5  # both pendant edges meet at the center
-    assert ds.d(1, 4) == 2
+    assert ds[0][1] == 5  # both pendant edges meet at the center
+    assert ds[0][3] == 2
     assert path_tree(2, [5]).edges == star_tree(2, [5]).edges
 
 
@@ -131,19 +131,21 @@ def test_path_star_weight_count():
 
 def test_distance_examples():
     d = all_pairs_distances(path_tree(4, [1, 1, 1]))
-    assert d.d(1, 3) == 2 and d.d(1, 4) == 3 and d.d(2, 4) == 2
+    assert d[0][2] == 2 and d[0][3] == 3 and d[1][3] == 2
     d2 = all_pairs_distances(path_tree(3, [1, 2]))
-    assert d2.d(1, 3) == 3
+    assert d2[0][2] == 3
 
 
 def test_distances_computed_once_per_tree():
     t = random_tree(6, 3, 5)
     d = all_pairs_distances(t)
     assert all_pairs_distances(t) is d
+    assert type(d) is tuple and all(type(row) is tuple for row in d)
+    assert all(type(x) is int for row in d for x in row)
     # an equal tree built separately has its own table, with the same rows
     twin = from_edges(t.n, t.edges)
     assert all_pairs_distances(twin) is not d
-    assert all_pairs_distances(twin).rows == d.rows
+    assert all_pairs_distances(twin) == d
 
 
 def _path_vertices(t, i, j):
@@ -170,13 +172,13 @@ def test_distance_metric_properties():
         t = random_tree(n, 5, rng.getrandbits(63))
         d = all_pairs_distances(t)
         for i in range(1, n + 1):
-            assert d.d(i, i) == 0
+            assert d[i - 1][i - 1] == 0
             for j in range(i + 1, n + 1):
-                assert d.d(i, j) == d.d(j, i) > 0
+                assert d[i - 1][j - 1] == d[j - 1][i - 1] > 0
         # additivity: every vertex on the unique i-j path splits the distance
         i, j = rng.sample(range(1, n + 1), 2)
         for v in _path_vertices(t, i, j):
-            assert d.d(i, v) + d.d(v, j) == d.d(i, j)
+            assert d[i - 1][v - 1] + d[v - 1][j - 1] == d[i - 1][j - 1]
 
 
 def test_path_distance_sum_closed_form():
@@ -184,7 +186,7 @@ def test_path_distance_sum_closed_form():
     for n in range(2, 13):
         t = path_tree(n, [1] * (n - 1))
         d = all_pairs_distances(t)
-        total = sum(d.d(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        total = sum(d[i - 1][j - 1] for i in range(1, n + 1) for j in range(i + 1, n + 1))
         oracle = sum(j - i for i in range(1, n + 1) for j in range(i + 1, n + 1))
         assert total == oracle == math.comb(n + 1, 3)
 
