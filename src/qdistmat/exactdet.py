@@ -39,10 +39,14 @@ COFACTOR_MAX_ORDER = 6
 
 
 def det_bareiss(m: tuple) -> Poly:
-    """Exact determinant by fraction-free single-step elimination.
+    """Exact determinant by fraction-free Bareiss elimination in the kernel layer.
 
-    The kernel reads the rows of coefficient tuples as they are stored; it
-    raises ValueError on an empty or non-square matrix.
+    The compiled kernel eliminates over polynomials.  The pure one
+    eliminates Kronecker-packed integers, a large matrix at a narrow width
+    certified by evaluations, and a large symmetric one on its upper
+    triangle alone (``_kernels.pure.bareiss_det``).  The kernel reads the
+    rows of coefficient tuples as they are stored; it raises ValueError on
+    an empty or non-square matrix.
     """
     return _make(_kernels.bareiss_det(m))
 
