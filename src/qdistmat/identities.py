@@ -19,6 +19,10 @@ multiset.  The suite checks
 - up to n = GENFUN_MAX_N (8), the generating-function identities: the
   brute-force permutation tables N and M, both from one sweep over the n!
   permutations (``permlab.perm_tables``), against det D*_q and det D_q.
+
+Every result depends only on the weighted tree up to a relabelling that
+keeps the leaf pair; ``suite_key`` names that class and says why, so a
+sweep runs the suite once per key.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ from . import closedforms, permlab
 from .exactdet import check_dodgson_identity, det_bareiss, minor_det
 from .polyring import Poly, qbracket
 from .qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star
-from .treekit import WeightedTree
+from .treekit import WeightedTree, all_pairs_distances, canonical_order
 
-__all__ = ["GENFUN_MAX_N", "DetCheck", "closed_forms", "det_checks", "identity_suite"]
+__all__ = ["GENFUN_MAX_N", "DetCheck", "closed_forms", "det_checks", "identity_suite",
+           "suite_key"]
 
 # Largest n whose trees get the generating-function checks.  The sweep
 # costs n! steps; permlab.PERM_MAX_N = 9 is the cap of the sweep itself.
@@ -74,6 +79,12 @@ def det_checks(t: WeightedTree, closed: dict[str, Poly]) -> list[DetCheck]:
     return [DetCheck(name, m, det_bareiss(m), closed[name]) for name, m in matrices.items()]
 
 
+def _leaf_pair(t: WeightedTree) -> tuple[int, int]:
+    """The suite's u and v: the tree's smallest and largest leaf labels."""
+    leaves = t.pendant_vertices()
+    return leaves[0], leaves[-1]
+
+
 def identity_suite(
     t: WeightedTree, closed: dict[str, Poly]
 ) -> tuple[list[tuple[str, bool]], tuple[Poly, ...]]:
@@ -95,8 +106,7 @@ def identity_suite(
     if n >= 3:
         dq = checks[3].matrix
         dets = {((), ()): det_dq}
-        leaves = t.pendant_vertices()
-        u, v = leaves[0], leaves[-1]
+        u, v = _leaf_pair(t)
         results.append(("dodgson_identity", check_dodgson_identity(dq, dets, (u, v))))
         (_, w_u), = t.adjacency()[u]
         (_, w_v), = t.adjacency()[v]
@@ -118,3 +128,39 @@ def identity_suite(
         results.append(("genfun_N", n_table == det_dq_star))
         results.append(("genfun_M", m_table == det_dq))
     return results, (det_d, det_dq, det_dq_star, det_dxj)
+
+
+def suite_key(t: WeightedTree) -> tuple:
+    """A key that fixes every result of ``identity_suite``: equal keys, equal results.
+
+    The key is the distance table rewritten in ``canonical_order``, with
+    the canonical positions of the suite's leaves u and v (None when
+    n < 3).  A positive-weight tree is determined by its distance table, so
+    two trees with equal keys differ by a relabelling phi that maps u to u
+    and v to v.  Every result of the suite is unchanged by such a
+    relabelling, which conjugates each matrix M to P M P^T:
+
+    - the four determinants, and with them the closed-form checks and the
+      profile, are unchanged (det P = +-1 twice), and so are the principal
+      minors of D_q that the recurrence takes;
+    - adj(P M P^T) = P adj(M) P^T, so the (u, v) cofactor of the
+      corner-minor check is unchanged, and so are the products
+      det M_{u,v} det M_{v,u} of the condensation identity, whose two
+      factors are cofactors up to the same sign;
+    - whether the tree is simple, the weights of the edges at u and v and
+      the other weights are properties of the weighted tree;
+    - the permutation tables N and M are Leibniz sums over all
+      permutations, which conjugation by phi permutes.
+
+    Keying on the table itself, never on an encoding of it, keeps the key
+    sound whatever ``canonical_order`` returns: a poor order can only split
+    a class into several keys.
+    """
+    order = canonical_order(t)
+    dist = all_pairs_distances(t)
+    table = tuple(tuple(dist[i - 1][j - 1] for j in order) for i in order)
+    if t.n < 3:
+        return table, None
+    position = {v: k for k, v in enumerate(order)}
+    u, v = _leaf_pair(t)
+    return table, (position[u], position[v])

@@ -25,6 +25,7 @@ __all__ = [
     "path_tree",
     "star_tree",
     "all_pairs_distances",
+    "canonical_order",
     "relabel",
     "parse_tree_text",
     "tree_to_text",
@@ -271,6 +272,61 @@ def all_pairs_distances(t: WeightedTree) -> tuple[tuple[int, ...], ...]:
         rows.append(tuple(dist[1:]))
     t._dist = tuple(rows)
     return t._dist
+
+
+def canonical_order(t: WeightedTree) -> tuple[int, ...]:
+    """The labels in a canonical order, after Aho, Hopcroft & Ullman (1974), §3.2.
+
+    An isomorphism of weighted trees maps the k-th label of one tree's order
+    to the k-th of the other's, so isomorphic trees give equal distance
+    tables once both are rewritten in this order.  Peeling leaves finds the
+    centre or bicentre; from there the vertices fall into levels by depth,
+    the other centre of a bicentre being no one's child.  Level by level,
+    from the deepest, a vertex's rooted subtree gets the rank, among its
+    level, of the sorted tuple of its children's (rank, edge weight)
+    pairs; equal ranks mean isomorphic subtrees.  The walk starts at the
+    centre of smaller rank and visits each vertex before its children,
+    which it takes in (rank, weight) order; the other centre of a bicentre
+    and its subtree come last.  Ranks are plain integers, so no comparison
+    recurses into a deep subtree.
+    """
+    n, adj = t.n, t.adjacency()
+    degree = [len(nbrs) for nbrs in adj]
+    centres = [v for v in range(1, n + 1) if degree[v] <= 1]
+    left = n
+    while left > 2:
+        left -= len(centres)
+        peeled, centres = centres, []
+        for v in peeled:
+            for u, _ in adj[v]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    centres.append(u)
+    seen = set(centres)
+    children = [()] * (n + 1)
+    levels = [centres]
+    while levels[-1]:
+        below = []
+        for v in levels[-1]:
+            children[v] = [(u, w) for u, w in adj[v] if u not in seen]
+            below.extend(u for u, _ in children[v])
+        seen.update(below)
+        levels.append(below)
+    rank = [0] * (n + 1)
+    for level in reversed(levels):
+        for v in level:
+            children[v].sort(key=lambda c: (rank[c[0]], c[1]))
+        shapes = [tuple((rank[u], w) for u, w in children[v]) for v in level]
+        ids = {s: i for i, s in enumerate(sorted(set(shapes)))}
+        for v, s in zip(level, shapes):
+            rank[v] = ids[s]
+    stack = sorted(centres, key=rank.__getitem__, reverse=True)
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(u for u, _ in reversed(children[v]))
+    return tuple(order)
 
 
 def relabel(t: WeightedTree, mapping: dict[int, int]) -> WeightedTree:

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from qdistmat import cli, closedforms, identities, permlab
+from qdistmat import _kernels, cli, closedforms, identities, permlab
 from qdistmat.polyring import Poly
 from qdistmat.treekit import (enumerate_trees, load_tree, random_tree, random_trees,
                               tree_to_json_dict)
@@ -193,7 +193,11 @@ def test_verify_identity_failure_exits_1(runner, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("output", ["plain", "json"])
 def test_structure_independence_failure_names_the_tree(runner, monkeypatch, output):
-    target = list(enumerate_trees(4))[2]
+    # verify runs the suite on the first tree of each suite key only, so the
+    # target is a tree whose key no earlier tree has, and not the first tree
+    trees = list(enumerate_trees(4))
+    keys = [identities.suite_key(t) for t in trees]
+    target = next(t for i, t in enumerate(trees) if i and keys[i] not in keys[:i])
     real_suite = cli.identity_suite
 
     def perturbed(t, closed):
@@ -212,6 +216,109 @@ def test_structure_independence_failure_names_the_tree(runner, monkeypatch, outp
     else:
         fails = [ln for ln in result.output.splitlines() if ln.startswith("FAIL")]
         assert fails == [f"FAIL structure_independence on {json.dumps(tree_to_json_dict(target))}"]
+
+
+def _branched(t):
+    return any(len(nbrs) >= 3 for nbrs in t.adjacency())
+
+
+def test_verify_tree_replays_a_failure(runner, monkeypatch, tmp_path):
+    # corner_minor_closed goes wrong on the trees with a vertex of degree 3 or more
+    current = []
+    real_suite, real_corner = cli.identity_suite, closedforms.corner_minor_closed
+
+    def suite(t, closed):
+        current[:] = [t]
+        return real_suite(t, closed)
+
+    monkeypatch.setattr(cli, "identity_suite", suite)
+    monkeypatch.setattr(closedforms, "corner_minor_closed", lambda w_u, w_v, rest:
+                        real_corner(w_u, w_v, rest) + Poly([int(_branched(current[0]))]))
+    sweep = runner.invoke(cli.main, ["verify", "--exhaustive", "5"])
+    assert sweep.exit_code == 1
+    fails = [ln for ln in sweep.output.splitlines() if ln.startswith("FAIL")]
+    assert fails and all(ln.startswith("FAIL corner_minor on ") for ln in fails)
+    line = fails[len(fails) // 2]
+    (tmp_path / "tree.json").write_text(line.split(" on ", 1)[1])
+    replay = runner.invoke(cli.main, ["verify", "--tree", str(tmp_path / "tree.json")])
+    assert replay.exit_code == 1
+    assert [ln for ln in replay.output.splitlines() if ln.startswith("FAIL")] == [line]
+    assert replay.output.splitlines()[-1] == "result: FAIL"
+    (tmp_path / "path.txt").write_text("5\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n")
+    replay = runner.invoke(cli.main, ["verify", "--tree", str(tmp_path / "path.txt"),
+                                      "--output", "json"])
+    assert replay.exit_code == 0
+    payload = validated_json(replay)
+    assert payload["mode"] == "tree" and payload["tree"]["n"] == 5
+    assert payload["trees"] == 1 and payload["checks"] == 12 and payload["pass"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ["--tree", "t.txt", "--exhaustive", "4"],
+    ["--tree", "t.txt", "--random", "3"],
+    ["--tree", "missing.txt"],
+    ["--tree", "one.txt"],
+    ["--tree", "cycle.txt"],
+])
+def test_verify_tree_usage_errors(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_text("2\n1 2 1\n")
+    (tmp_path / "one.txt").write_text("1\n")
+    (tmp_path / "cycle.txt").write_text("3\n1 2 1\n2 3 1\n3 1 1\n")
+    result = runner.invoke(cli.main, ["verify", *args])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output and "trees:" not in result.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["--exhaustive", "6"],
+    ["--exhaustive", "5", "--weight", "2"],
+    ["--random", "200", "--n-max", "8"],
+])
+def test_verify_failures_match_a_direct_loop(runner, monkeypatch, speedups, args):
+    # faults that depend on the class of a tree and its leaf pair: the memo
+    # must report each on every labelled tree, in order.  The compiled
+    # kernels keep the two passes over 200 random trees short.
+    monkeypatch.setattr(_kernels, "_speedups", speedups)
+    real_tables, real_corner = permlab.perm_tables, closedforms.corner_minor_closed
+
+    def tables(t):
+        n_table, m_table = real_tables(t)
+        return n_table + Poly([int(_branched(t))]), m_table
+
+    monkeypatch.setattr(permlab, "perm_tables", tables)
+    monkeypatch.setattr(closedforms, "corner_minor_closed", lambda w_u, w_v, rest:
+                        real_corner(w_u, w_v, rest) + Poly([int(w_u != w_v)]))
+    result = runner.invoke(cli.main, ["verify", *args, "--output", "json"])
+    assert result.exit_code == 1
+    if args[0] == "--exhaustive":
+        trees = enumerate_trees(int(args[1]), int(args[3]) if len(args) > 2 else 1)
+    else:
+        trees = random_trees(200, 2, 8, 4, 0)
+    direct = []
+    for t in trees:
+        results, _ = identities.identity_suite(t, identities.closed_forms(t.weights))
+        direct.extend({"tree": tree_to_json_dict(t), "check": name}
+                      for name, ok in results if not ok)
+    failures = validated_json(result)["failures"]
+    assert failures == direct
+    checks = {f["check"] for f in failures}
+    assert checks == ({"genfun_N"} if args[0] == "--exhaustive" else {"genfun_N", "corner_minor"})
+
+
+def test_verify_runs_the_suite_once_per_key(runner, monkeypatch):
+    calls = []
+    real = cli.identity_suite
+    monkeypatch.setattr(cli, "identity_suite", lambda t, closed: calls.append(t) or real(t, closed))
+    assert runner.invoke(cli.main, ["verify", "--exhaustive", "6"]).exit_code == 0
+    assert len(calls) == 16
+
+
+def test_verify_exhaustive_7_json(runner):
+    payload = validated_json(runner.invoke(cli.main, ["verify", "--exhaustive", "7",
+                                                      "--output", "json"]))
+    assert (payload["trees"], payload["checks"], payload["pass"]) == (16807, 201685, True)
+    assert payload["failures"] == []
 
 
 @pytest.mark.parametrize("args", [["--exhaustive", "5"], ["--random", "20"]])

@@ -10,6 +10,7 @@ import propcheck
 from qdistmat.treekit import (
     InvalidTreeError,
     all_pairs_distances,
+    canonical_order,
     enumerate_trees,
     from_edges,
     load_tree,
@@ -207,6 +208,66 @@ def test_pendant_first_last():
         t2 = pendant_first_last(t, seed=i)
         assert t2.degree(1) == 1 and t2.degree(t2.n) == 1
         assert sorted(t2.weights) == sorted(t.weights)
+
+
+def canonical_table(t):
+    order = canonical_order(t)
+    dist = all_pairs_distances(t)
+    return tuple(tuple(dist[i - 1][j - 1] for j in order) for i in order)
+
+
+def centre_count(t):
+    """1 for a centre, 2 for a bicentre: the vertices of least eccentricity in hops."""
+    hops = all_pairs_distances(from_edges(t.n, [(u, v, 1) for u, v, _ in t.edges]))
+    ecc = [max(row) for row in hops]
+    return ecc.count(min(ecc))
+
+
+@pytest.mark.parametrize("n,classes", [(2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11)])
+def test_canonical_tables_count_the_unlabelled_trees(n, classes):
+    # OEIS A000055; n = 8 (23 classes, 262144 trees) is too slow for this suite
+    assert len({canonical_table(t) for t in enumerate_trees(n)}) == classes
+
+
+def test_canonical_table_survives_relabelling():
+    rng = random.Random(15)
+    centres = []
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        t = (random_tree(n, rng.randint(1, 4), rng.getrandbits(63)) if n > 1
+             else from_edges(1, []))
+        labels = list(range(1, n + 1))
+        rng.shuffle(labels)
+        t2 = relabel(t, dict(zip(range(1, n + 1), labels)))
+        assert sorted(canonical_order(t2)) == list(range(1, n + 1))
+        assert canonical_table(t2) == canonical_table(t), t.edges
+        centres.append(centre_count(t))
+    assert centres.count(1) > 50 and centres.count(2) > 50
+
+
+def test_canonical_table_separates_weight_placements():
+    # a bicentral path: the heavy edge in the middle or at an end
+    middle, end = path_tree(4, [1, 2, 1]), path_tree(4, [2, 1, 1])
+    assert canonical_table(middle) != canonical_table(end)
+    assert canonical_table(end) == canonical_table(path_tree(4, [1, 1, 2]))
+    # a spider with legs of two edges: the weight 2 on an inner or an outer edge
+    legs = [(4, 1), (1, 5), (4, 2), (2, 6), (4, 3), (3, 7)]
+    inner = from_edges(7, [(u, v, 2 if (u, v) == (4, 1) else 1) for u, v in legs])
+    outer = from_edges(7, [(u, v, 2 if (u, v) == (1, 5) else 1) for u, v in legs])
+    assert canonical_table(inner) != canonical_table(outer)
+    # bicentral halves that differ only by where their weights sit
+    left = from_edges(6, [(1, 2, 1), (1, 3, 3), (1, 4, 1), (4, 5, 2), (4, 6, 3)])
+    right = from_edges(6, [(1, 2, 1), (1, 3, 3), (1, 4, 1), (4, 5, 3), (4, 6, 2)])
+    swapped = from_edges(6, [(1, 2, 3), (1, 3, 1), (1, 4, 1), (4, 5, 2), (4, 6, 3)])
+    assert canonical_table(left) == canonical_table(right) == canonical_table(swapped)
+    heavier = from_edges(6, [(1, 2, 1), (1, 3, 3), (1, 4, 1), (4, 5, 1), (4, 6, 4)])
+    assert canonical_table(left) != canonical_table(heavier)
+
+
+def test_canonical_order_of_a_long_path():
+    # ranks are integers, so depth does not meet the recursion limit
+    order = canonical_order(path_tree(3001, [1] * 3000))
+    assert order[0] == 1501 and sorted(order) == list(range(1, 3002))
 
 
 def test_text_round_trip(tmp_path):
