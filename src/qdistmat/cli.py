@@ -25,7 +25,7 @@ import click
 from . import permlab, wiener
 from ._kernels import BACKEND
 from .exactdet import det_bareiss
-from .identities import closed_forms, det_checks, identity_suite, suite_key
+from .identities import det_checks, identity_suite, suite_key
 from .polyring import Poly
 from .qmatrix import build_dq, build_dq_star
 from .treekit import (
@@ -80,12 +80,20 @@ def _make_trees(factory, *args):
     return map(_weight_capped, made)
 
 
-def _weight_capped(t: WeightedTree) -> WeightedTree:
-    total = sum(t.weights)
+def _check_weight_cap(total: int, what: str = "total edge weight"):
     if total > MAX_TOTAL_WEIGHT:
-        _fail_usage(f"total edge weight {total} exceeds {MAX_TOTAL_WEIGHT} "
+        _fail_usage(f"{what} {total} exceeds {MAX_TOTAL_WEIGHT} "
                     "(matrix entries are dense polynomials of that degree)")
+
+
+def _weight_capped(t: WeightedTree) -> WeightedTree:
+    _check_weight_cap(sum(t.weights))
     return t
+
+
+def _check_vertex_cap(option: str, n: int):
+    # every weight is at least 1, so a tree on n vertices weighs at least n - 1
+    _check_weight_cap(n - 1, f"{option} {n}: total edge weight at least")
 
 
 def _check_exhaustive_cap(exhaustive_n: int, allow_n8: bool):
@@ -166,9 +174,12 @@ def resolve_tree(tree_file, prufer_seq, random_n, path_n, star_n,
     if random_n is not None:
         if weights is not None:
             raise click.UsageError("--weights does not apply to --random (use --max-weight)")
+        _check_vertex_cap("--random", random_n)
         return random_tree(random_n, max_weight, seed)
     if path_n is not None:
+        _check_vertex_cap("--path", path_n)
         return path_tree(path_n, weights if weights is not None else [1] * (path_n - 1))
+    _check_vertex_cap("--star", star_n)
     return star_tree(star_n, weights if weights is not None else [1] * (star_n - 1))
 
 
@@ -213,7 +224,7 @@ def cmd_det(t, fmt):
     """Determinants of all four matrix constructions vs. closed forms."""
     if t.n < 2:
         raise click.UsageError("det needs a tree with at least 2 vertices")
-    checks = det_checks(t, closed_forms(t.weights))
+    checks = det_checks(t)
     ok = all(c.passed for c in checks)
     if fmt == "json":
         emit_json({
@@ -248,31 +259,30 @@ def _run_verify_corpus(trees, check_structure_independence):
     """Run the identity suite over ``trees``; return (trees, checks, failures).
 
     The suite runs once per ``suite_key``, which fixes all its results
-    (``identities.suite_key`` shows why); every tree still counts its own
-    checks and failures, in the order the trees come.
+    (``identities.suite_key`` shows why), and keeps only its verdicts; every
+    tree still counts its own checks and failures, in the order the trees
+    come.  A key fixes the weighted tree up to isomorphism, so the first
+    tree of a multiset opens a key, and a known key repeats its profile:
+    comparing profiles as keys open finds the first mismatching tree.
     """
     checks = 0
     failures = []
-    forms = {}  # weight multiset -> its closed forms
-    suites = {}  # suite_key -> (results, profile) of the first tree with it
+    suites = {}  # suite_key -> (number of checks, names of the failed checks)
     first_profiles = {}  # weight multiset -> profile of the first tree with it
     mismatches = {}  # weight multiset -> first tree whose profile differs
     count = 0
     for t in trees:
         count += 1
-        key = (t.n, tuple(sorted(t.weights)))
-        if key not in forms:
-            forms[key] = closed_forms(t.weights)
         skey = suite_key(t)
         if skey not in suites:
-            suites[skey] = identity_suite(t, forms[key])
-        results, profile = suites[skey]
-        for name, ok in results:
-            checks += 1
-            if not ok:
-                failures.append({"tree": tree_to_json_dict(t), "check": name})
-        if check_structure_independence and first_profiles.setdefault(key, profile) != profile:
-            mismatches.setdefault(key, t)
+            results, profile = identity_suite(t)
+            suites[skey] = len(results), tuple(name for name, ok in results if not ok)
+            key = (t.n, tuple(sorted(t.weights)))
+            if check_structure_independence and first_profiles.setdefault(key, profile) != profile:
+                mismatches.setdefault(key, t)
+        size, failed = suites[skey]
+        checks += size
+        failures.extend({"tree": tree_to_json_dict(t), "check": name} for name in failed)
     if check_structure_independence:
         checks += len(first_profiles)
         failures.extend({"tree": tree_to_json_dict(t), "check": "structure_independence"}
@@ -298,7 +308,7 @@ def _run_verify_corpus(trees, check_structure_independence):
               help="Uniform edge weight for --exhaustive.")
 @click.option("--allow-n8", is_flag=True,
               help="Raise the exhaustive cap from 7 to 8 (262144 trees, about "
-                   "35 s compiled and 70 s pure on a 2-core machine).")
+                   "30 s compiled and 57 s pure on a 2-core machine).")
 @output_option
 def cmd_verify(tree_file, exhaustive_n, trials, trials_alias, n_max, max_weight,
                seed, weight, allow_n8, fmt):
@@ -319,7 +329,7 @@ def cmd_verify(tree_file, exhaustive_n, trials, trials_alias, n_max, max_weight,
         _check_exhaustive_cap(exhaustive_n, allow_n8)
         if exhaustive_n == MAX_EXHAUSTIVE_N:
             _echo("warning: exhaustive n=8 sweeps 262144 trees; expect about "
-                  "35 s with the compiled kernels and 70 s without (2-core "
+                  "30 s with the compiled kernels and 57 s without (2-core "
                   "machine, Python 3.11)", err=True)
         trees = _make_trees(enumerate_trees, exhaustive_n, weight)
         mode = {"mode": "exhaustive", "n": exhaustive_n, "weight": weight}
@@ -328,6 +338,7 @@ def cmd_verify(tree_file, exhaustive_n, trials, trials_alias, n_max, max_weight,
             raise click.UsageError("--random needs at least 1 trial")
         if n_max < 2:
             raise click.UsageError("--n-max must be at least 2")
+        _check_vertex_cap("--n-max", n_max)
         trees = _make_trees(random_trees, trials, 2, n_max, max_weight, seed)
         mode = {"mode": "random", "trials": trials, "n_max": n_max,
                 "max_weight": max_weight, "seed": seed}

@@ -2,9 +2,7 @@
 
 Each tree's four matrices D, D + xJ, D*_q and D_q are built once and each
 of their determinants is taken once; every check compares values already
-in hand.  The closed forms that depend only on the weight multiset come
-from ``closed_forms`` and are passed in, so a sweep computes them once per
-multiset.  The suite checks
+in hand.  The suite checks
 
 - the four determinants against their closed forms (Bapat-Kirkland-Neumann
   for D and D + xJ, a product over the edges for D*_q and a sum over the
@@ -33,10 +31,9 @@ from . import closedforms, permlab
 from .exactdet import check_dodgson_identity, det_bareiss, minor_det
 from .polyring import Poly, qbracket
 from .qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star
-from .treekit import WeightedTree, all_pairs_distances, canonical_order
+from .treekit import WeightedTree, canonical_order
 
-__all__ = ["GENFUN_MAX_N", "DetCheck", "closed_forms", "det_checks", "identity_suite",
-           "suite_key"]
+__all__ = ["GENFUN_MAX_N", "DetCheck", "det_checks", "identity_suite", "suite_key"]
 
 # Largest n whose trees get the generating-function checks.  The sweep
 # costs n! steps; permlab.PERM_MAX_N = 9 is the cap of the sweep itself.
@@ -56,27 +53,15 @@ class DetCheck:
         return self.determinant == self.closed
 
 
-def closed_forms(weights) -> dict[str, Poly]:
-    """The closed forms that depend only on the weight multiset, by check name.
-
-    "D", "D+xJ", "Dq*" and "Dq" for every multiset; "graham_pollak",
-    "dq_simple" and "dq_star_simple" as well when every weight is one.
-    """
-    forms = {"D": Poly([closedforms.bkn_det(weights)]), "D+xJ": closedforms.bkn_det_xj(weights),
-             "Dq*": closedforms.dq_star_closed(weights), "Dq": closedforms.dq_closed(weights)}
-    if all(w == 1 for w in weights):
-        n = len(weights) + 1
-        forms.update(graham_pollak=Poly([closedforms.graham_pollak(n)]),
-                     dq_simple=closedforms.dq_simple(n),
-                     dq_star_simple=closedforms.dq_star_simple(n))
-    return forms
-
-
-def det_checks(t: WeightedTree, closed: dict[str, Poly]) -> list[DetCheck]:
-    """Each matrix's determinant against its form in ``closed``: D, D+xJ, Dq*, Dq."""
-    matrices = {"D": build_d(t), "D+xJ": build_d_plus_xJ(t),
-                "Dq*": build_dq_star(t), "Dq": build_dq(t)}
-    return [DetCheck(name, m, det_bareiss(m), closed[name]) for name, m in matrices.items()]
+def det_checks(t: WeightedTree) -> list[DetCheck]:
+    """Each matrix's determinant against its closed form: D, D+xJ, Dq*, Dq."""
+    ws = t.weights
+    return [DetCheck(name, m, det_bareiss(m), closed) for name, m, closed in (
+        ("D", build_d(t), Poly([closedforms.bkn_det(ws)])),
+        ("D+xJ", build_d_plus_xJ(t), closedforms.bkn_det_xj(ws)),
+        ("Dq*", build_dq_star(t), closedforms.dq_star_closed(ws)),
+        ("Dq", build_dq(t), closedforms.dq_closed(ws)),
+    )]
 
 
 def _leaf_pair(t: WeightedTree) -> tuple[int, int]:
@@ -85,24 +70,21 @@ def _leaf_pair(t: WeightedTree) -> tuple[int, int]:
     return leaves[0], leaves[-1]
 
 
-def identity_suite(
-    t: WeightedTree, closed: dict[str, Poly]
-) -> tuple[list[tuple[str, bool]], tuple[Poly, ...]]:
+def identity_suite(t: WeightedTree) -> tuple[list[tuple[str, bool]], tuple[Poly, ...]]:
     """Every executable identity for one tree.
 
-    ``closed`` is ``closed_forms`` of the tree's weight multiset.  Returns
-    the (name, passed) pairs in a fixed order, and the determinant profile
-    (det D, det D_q, det D*_q, det(D + xJ)), which depends only on the
-    weight multiset if the paper's main results hold.
+    Returns the (name, passed) pairs in a fixed order, and the determinant
+    profile (det D, det D_q, det D*_q, det(D + xJ)), which depends only on
+    the weight multiset if the paper's main results hold.
     """
     n = t.n
-    checks = det_checks(t, closed)
+    checks = det_checks(t)
     det_d, det_dxj, det_dq_star, det_dq = (c.determinant for c in checks)
     results = [(f"det({c.name})==closed", c.passed) for c in checks]
     if t.is_simple():
-        for name, det in (("graham_pollak", det_d), ("dq_simple", det_dq),
-                          ("dq_star_simple", det_dq_star)):
-            results.append((name, det == closed[name]))
+        results += [("graham_pollak", det_d == closedforms.graham_pollak(n)),
+                    ("dq_simple", det_dq == closedforms.dq_simple(n)),
+                    ("dq_star_simple", det_dq_star == closedforms.dq_star_simple(n))]
     if n >= 3:
         dq = checks[3].matrix
         dets = {((), ()): det_dq}
@@ -133,12 +115,13 @@ def identity_suite(
 def suite_key(t: WeightedTree) -> tuple:
     """A key that fixes every result of ``identity_suite``: equal keys, equal results.
 
-    The key is the distance table rewritten in ``canonical_order``, with
-    the canonical positions of the suite's leaves u and v (None when
-    n < 3).  A positive-weight tree is determined by its distance table, so
-    two trees with equal keys differ by a relabelling phi that maps u to u
-    and v to v.  Every result of the suite is unchanged by such a
-    relabelling, which conjugates each matrix M to P M P^T:
+    The key is the edge list relabelled by ``canonical_order`` position, as
+    a sorted tuple of (min, max, weight), with the canonical positions of
+    the suite's leaves u and v (None when n < 3).  Two trees with equal
+    keys are therefore related by a relabelling phi, position to position,
+    that maps edges to edges of the same weight, u to u and v to v: an
+    isomorphism of weighted trees.  Every result of the suite is unchanged
+    by such a relabelling, which conjugates each matrix M to P M P^T:
 
     - the four determinants, and with them the closed-form checks and the
       profile, are unchanged (det P = +-1 twice), and so are the principal
@@ -152,15 +135,16 @@ def suite_key(t: WeightedTree) -> tuple:
     - the permutation tables N and M are Leibniz sums over all
       permutations, which conjugation by phi permutes.
 
-    Keying on the table itself, never on an encoding of it, keeps the key
-    sound whatever ``canonical_order`` returns: a poor order can only split
-    a class into several keys.
+    Keying on the relabelled tree itself, never on an encoding of it, keeps
+    the key sound whatever ``canonical_order`` returns: a poor order can
+    only split a class into several keys.
     """
-    order = canonical_order(t)
-    dist = all_pairs_distances(t)
-    table = tuple(tuple(dist[i - 1][j - 1] for j in order) for i in order)
+    position = [0] * (t.n + 1)
+    for k, v in enumerate(canonical_order(t)):
+        position[v] = k
+    edges = tuple(sorted((min(position[a], position[b]), max(position[a], position[b]), w)
+                         for a, b, w in t.edges))
     if t.n < 3:
-        return table, None
-    position = {v: k for k, v in enumerate(order)}
+        return edges, None
     u, v = _leaf_pair(t)
-    return table, (position[u], position[v])
+    return edges, (position[u], position[v])

@@ -408,8 +408,8 @@ def tree_from_json_dict(obj: dict) -> WeightedTree:
 
 
 def load_tree(path: str) -> WeightedTree:
-    """Read a tree file, accepting both the text and the JSON format."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a tree file in the text or the JSON format; a UTF-8 BOM is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):

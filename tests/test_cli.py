@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -156,6 +157,27 @@ def test_total_weight_cap(runner):
     assert result.stdout == ""
 
 
+def test_vertex_count_cap_comes_before_the_tree(runner, monkeypatch):
+    # every weight is at least 1, so N vertices weigh at least N - 1: these
+    # exit 2 without building a tree
+    def forbidden(*args):
+        raise AssertionError("a tree was built")
+
+    for name in ("random_tree", "path_tree", "star_tree", "random_trees"):
+        monkeypatch.setattr(cli, name, forbidden)
+    cap, big = cli.MAX_TOTAL_WEIGHT, 10 ** 9
+    for args in (["det", "--random", big], ["wiener", "--path", big],
+                 ["gen-tree", "--star", big], ["verify", "--random", 1, "--n-max", big]):
+        result = runner.invoke(cli.main, [str(a) for a in args])
+        assert result.exit_code == 2, (args, result.output)
+        assert result.stderr == (f"error: {args[-2]} {big}: total edge weight at least "
+                                 f"{big - 1} exceeds {cap} (matrix entries are dense "
+                                 "polynomials of that degree)\n")
+    monkeypatch.undo()
+    assert runner.invoke(cli.main, ["gen-tree", "--path", str(cap + 1)]).exit_code == 0
+    assert runner.invoke(cli.main, ["gen-tree", "--path", str(cap + 2)]).exit_code == 2
+
+
 def test_exhaustive_cap_message_shared(runner):
     for cmd in ("verify", "enumerate"):
         result = runner.invoke(cli.main, [cmd, "--exhaustive", "9"])
@@ -200,8 +222,8 @@ def test_structure_independence_failure_names_the_tree(runner, monkeypatch, outp
     target = next(t for i, t in enumerate(trees) if i and keys[i] not in keys[:i])
     real_suite = cli.identity_suite
 
-    def perturbed(t, closed):
-        results, profile = real_suite(t, closed)
+    def perturbed(t):
+        results, profile = real_suite(t)
         return results, (profile if t != target else profile[:-1] + (Poly([777]),))
 
     monkeypatch.setattr(cli, "identity_suite", perturbed)
@@ -227,9 +249,9 @@ def test_verify_tree_replays_a_failure(runner, monkeypatch, tmp_path):
     current = []
     real_suite, real_corner = cli.identity_suite, closedforms.corner_minor_closed
 
-    def suite(t, closed):
+    def suite(t):
         current[:] = [t]
-        return real_suite(t, closed)
+        return real_suite(t)
 
     monkeypatch.setattr(cli, "identity_suite", suite)
     monkeypatch.setattr(closedforms, "corner_minor_closed", lambda w_u, w_v, rest:
@@ -297,7 +319,7 @@ def test_verify_failures_match_a_direct_loop(runner, monkeypatch, speedups, args
         trees = random_trees(200, 2, 8, 4, 0)
     direct = []
     for t in trees:
-        results, _ = identities.identity_suite(t, identities.closed_forms(t.weights))
+        results, _ = identities.identity_suite(t)
         direct.extend({"tree": tree_to_json_dict(t), "check": name}
                       for name, ok in results if not ok)
     failures = validated_json(result)["failures"]
@@ -309,9 +331,38 @@ def test_verify_failures_match_a_direct_loop(runner, monkeypatch, speedups, args
 def test_verify_runs_the_suite_once_per_key(runner, monkeypatch):
     calls = []
     real = cli.identity_suite
-    monkeypatch.setattr(cli, "identity_suite", lambda t, closed: calls.append(t) or real(t, closed))
+    monkeypatch.setattr(cli, "identity_suite", lambda t: calls.append(t) or real(t))
     assert runner.invoke(cli.main, ["verify", "--exhaustive", "6"]).exit_code == 0
     assert len(calls) == 16
+    # a random sweep whose keys repeat
+    calls.clear()
+    args = ["verify", "--random", "60", "--n-max", "3", "--max-weight", "1"]
+    assert runner.invoke(cli.main, args).exit_code == 0
+    keys = {identities.suite_key(t) for t in random_trees(60, 2, 3, 1, 0)}
+    assert {identities.suite_key(t) for t in calls} == keys
+    assert len(calls) == len(keys) == 2
+
+
+def test_verify_memo_keeps_keys_and_verdicts_only(monkeypatch):
+    # a random sweep whose keys almost never repeat; each suite hands back a
+    # large profile, which the memo must not keep
+    monkeypatch.setattr(cli, "identity_suite", lambda t: (
+        [(f"check{i}", True) for i in range(15)], (Poly(range(1, 500)),) * 4))
+    held = []
+
+    def trees():
+        yield from random_trees(200, 2, 20, 10, 0)
+        gc.collect()
+        held.append(tracemalloc.get_traced_memory()[0])
+
+    tracemalloc.start()
+    try:
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli._run_verify_corpus(trees(), False) == (200, 3000, [])
+    finally:
+        tracemalloc.stop()
+    assert held[0] - base < 300_000
 
 
 def test_verify_exhaustive_7_json(runner):
@@ -319,16 +370,6 @@ def test_verify_exhaustive_7_json(runner):
                                                       "--output", "json"]))
     assert (payload["trees"], payload["checks"], payload["pass"]) == (16807, 201685, True)
     assert payload["failures"] == []
-
-
-@pytest.mark.parametrize("args", [["--exhaustive", "5"], ["--random", "20"]])
-def test_verify_computes_closed_forms_once_per_multiset(runner, monkeypatch, args):
-    calls = []
-    real = closedforms.dq_closed
-    monkeypatch.setattr(closedforms, "dq_closed", lambda ws: calls.append(ws) or real(ws))
-    assert runner.invoke(cli.main, ["verify", *args]).exit_code == 0
-    trees = enumerate_trees(5) if args[0] == "--exhaustive" else random_trees(20, 2, 7, 4, 0)
-    assert len(calls) == len({(t.n, tuple(sorted(t.weights))) for t in trees})
 
 
 def test_verify_exhaustive(runner):

@@ -39,7 +39,7 @@ def expected_names(n, simple):
 ], ids=["path2", "path3", "path4", "weighted5", "tree9"])
 def test_suite_names_count_and_profile(t):
     n, simple = t.n, t.is_simple()
-    results, profile = identities.identity_suite(t, identities.closed_forms(t.weights))
+    results, profile = identities.identity_suite(t)
     names = [name for name, _ in results]
     assert names == expected_names(n, simple)
     assert len(names) == 4 + 3 * simple + 2 * (n >= 3) + (n >= 4) + 2 * (n <= 8)
@@ -52,11 +52,12 @@ def test_suite_names_count_and_profile(t):
 @pytest.mark.parametrize("name, check",
                          [(m, f"det({m})==closed") for m in ("D", "D+xJ", "Dq*", "Dq")]
                          + [(c, c) for c in ("graham_pollak", "dq_simple", "dq_star_simple")])
-def test_a_wrong_closed_form_fails_its_check(name, check):
-    t = path_tree(5, [1, 1, 1, 1])
-    closed = identities.closed_forms(t.weights)
-    closed[name] += 1
-    results, _ = identities.identity_suite(t, closed)
+def test_a_wrong_closed_form_fails_its_check(monkeypatch, name, check):
+    form = {"D": "bkn_det", "D+xJ": "bkn_det_xj", "Dq*": "dq_star_closed",
+            "Dq": "dq_closed"}.get(name, name)
+    real = getattr(closedforms, form)
+    monkeypatch.setattr(closedforms, form, lambda arg: real(arg) + 1)
+    results, _ = identities.identity_suite(path_tree(5, [1, 1, 1, 1]))
     assert [n for n, ok in results if not ok] == [check]
 
 
@@ -79,7 +80,7 @@ def test_each_matrix_and_determinant_once(monkeypatch):
 
     def work(t):
         calls.update(dets=0, builds=0)
-        results, _ = identities.identity_suite(t, identities.closed_forms(t.weights))
+        results, _ = identities.identity_suite(t)
         assert all(ok for _, ok in results), results
         return dict(calls)
 
@@ -121,7 +122,7 @@ def test_pendant_checks_match_the_relabelled_route():
         u, v = leaves[0], leaves[-1]
         if t.weights != (1,) * (t.n - 1) and (u, v) != (1, t.n):
             parities.add((u + v + t.n + 1) % 2)
-        results, _ = identities.identity_suite(t, identities.closed_forms(t.weights))
+        results, _ = identities.identity_suite(t)
         got = {name: ok for name, ok in results if name in ("corner_minor", "recurrence16")}
         want = literal_pendant_checks(t)
         assert got == want and all(want.values()), (t, got, want)

@@ -16,7 +16,7 @@ import pytest
 from qdistmat import _kernels, closedforms, permlab
 from qdistmat._kernels import BACKEND, pure
 from qdistmat.exactdet import det_cofactor
-from qdistmat.identities import closed_forms, identity_suite
+from qdistmat.identities import identity_suite
 from qdistmat.polyring import Poly
 from qdistmat.qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star
 from qdistmat.treekit import (
@@ -126,8 +126,7 @@ def test_perm_tables_negative_entry_raises(monkeypatch, speedups):
 ], ids=["path5", "star4-weighted", "unit6", "weighted7", "weighted8", "leaves2-6"])
 def test_dispatcher_compiled_matches_pure(monkeypatch, speedups, t):
     monkeypatch.setattr(_kernels, "_speedups", None)
-    closed = closed_forms(t.weights)
-    want = identity_suite(t, closed)
+    want = identity_suite(t)
     # count the calls the compiled module answers, rebinding its attributes
     # the way the benchmark's tracer does
     answered = Counter()
@@ -139,7 +138,7 @@ def test_dispatcher_compiled_matches_pure(monkeypatch, speedups, t):
 
         monkeypatch.setattr(speedups, name, counted)
     monkeypatch.setattr(_kernels, "_speedups", speedups)
-    assert identity_suite(t, closed) == want
+    assert identity_suite(t) == want
     assert all(answered[name] for name in COMPILED), answered
 
 
@@ -363,10 +362,12 @@ def norm_sq(coeffs):
 def test_reduced_bound_covers_tree_determinants(n):
     for seed in range(3):
         t = random_tree(n, 4, seed)
-        closed = closed_forms(t.weights)
-        for name, build in (("D", build_d), ("D+xJ", build_d_plus_xJ),
-                            ("Dq*", build_dq_star), ("Dq", build_dq)):
-            assert pure._reduced_sq(build(t)) >= norm_sq(closed[name].coeffs), (n, seed, name)
+        ws = t.weights
+        for build, closed in ((build_d, Poly([closedforms.bkn_det(ws)])),
+                              (build_d_plus_xJ, closedforms.bkn_det_xj(ws)),
+                              (build_dq_star, closedforms.dq_star_closed(ws)),
+                              (build_dq, closedforms.dq_closed(ws))):
+            assert pure._reduced_sq(build(t)) >= norm_sq(closed.coeffs), (n, seed, build.__name__)
 
 
 def near_duplicate_rows(rng, n):
@@ -461,10 +462,8 @@ def test_small_unit_weight_matrices_take_the_direct_path(monkeypatch):
     monkeypatch.setattr(permlab, "perm_tables", lambda t: (Poly(), Poly()))
     counting(monkeypatch, dets, "_int_det", "_sym_det", "_certified", "_reduced_sq")
     for n in range(2, 7):
-        trees = list(enumerate_trees(n))
-        closed = closed_forms(trees[0].weights)
-        for t in trees:
-            identity_suite(t, closed)
+        for t in enumerate_trees(n):
+            identity_suite(t)
     calls, zero = dets.pop("bareiss_det"), dets.pop("zero row")
     assert calls > 9 * 1296
     assert dets == {"_int_det": calls - zero}

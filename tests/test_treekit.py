@@ -7,6 +7,7 @@ import random
 import pytest
 
 import propcheck
+from qdistmat.identities import suite_key
 from qdistmat.treekit import (
     InvalidTreeError,
     all_pairs_distances,
@@ -245,6 +246,40 @@ def test_canonical_table_survives_relabelling():
     assert centres.count(1) > 50 and centres.count(2) > 50
 
 
+def table_key(t):
+    """The canonical distance table and the canonical positions of the leaf pair."""
+    if t.n < 3:
+        return canonical_table(t), None
+    order, leaves = canonical_order(t), t.pendant_vertices()
+    return canonical_table(t), (order.index(leaves[0]), order.index(leaves[-1]))
+
+
+def key_classes(trees):
+    """How many classes ``suite_key`` splits ``trees`` into, checked to be the
+    classes of ``table_key``: equal suite keys exactly when equal table keys."""
+    pairs = {(suite_key(t), table_key(t)) for t in trees}
+    assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
+    return len(pairs)
+
+
+@pytest.mark.parametrize("n,keys", [(2, 1), (3, 1), (4, 2), (5, 6), (6, 16), (7, 46)])
+def test_suite_keys_split_labelled_trees_like_the_tables(n, keys):
+    assert key_classes(enumerate_trees(n)) == keys
+
+
+def test_suite_keys_split_weighted_trees_like_the_tables():
+    rng = random.Random(16)
+    trees = []
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        t = random_tree(n, rng.randint(1, 3), rng.getrandbits(63))
+        labels = list(range(1, n + 1))
+        rng.shuffle(labels)
+        trees += [t, relabel(t, dict(zip(range(1, n + 1), labels)))]
+    # relabelling both merges classes and, by moving the leaf pair, splits them
+    assert 300 < key_classes(trees) < 600
+
+
 def test_canonical_table_separates_weight_placements():
     # a bicentral path: the heavy edge in the middle or at an end
     middle, end = path_tree(4, [1, 2, 1]), path_tree(4, [2, 1, 1])
@@ -286,6 +321,17 @@ def test_json_round_trip(tmp_path):
     f = tmp_path / "tree.json"
     f.write_text(json.dumps(obj))
     assert load_tree(str(f)).edge_set() == t.edge_set()
+
+
+def test_files_with_a_byte_order_mark(tmp_path):
+    t = from_edges(3, [(1, 2, 2), (2, 3, 7)])
+    for name, text in (("tree.txt", tree_to_text(t)),
+                       ("tree.json", json.dumps(tree_to_json_dict(t)))):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_tree(str(marked)) == load_tree(str(plain)) == t
 
 
 def test_bad_files():
