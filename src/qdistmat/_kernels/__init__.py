@@ -9,7 +9,8 @@ results never depend on which backend ran.  Set
 ``QDISTMAT_PURE=1`` to force the pure backend.
 
 The pure ``bareiss_det`` eliminates over the integers after Kronecker
-substitution; ``pure.bareiss_det`` gives the method and its proof of
+substitution, at the width the Hadamard bound gives, in one route for
+every matrix; ``pure.bareiss_det`` gives the method and its proof of
 exactness.
 
 ``perm_tables`` returns both permutation tables of a distance table, the

@@ -27,12 +27,13 @@ from ._kernels import BACKEND
 from .exactdet import det_bareiss
 from .identities import det_checks, identity_suite, suite_key
 from .polyring import Poly
-from .qmatrix import build_dq, build_dq_star
+from .qmatrix import build_dq, build_dq_star, tree_congruent
 from .treekit import (
     MAX_EXHAUSTIVE_N,
     WeightedTree,
     enumerate_trees,
     load_tree,
+    parse_int,
     path_tree,
     prufer_decode,
     random_tree,
@@ -142,10 +143,11 @@ def tree_source_options(f):
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
+    # a ValueError, so that _make_trees reports it as bad tree input
     try:
-        return [int(tok) for tok in text.split()]
+        return [parse_int(tok) for tok in text.split()]
     except ValueError:
-        raise click.UsageError(f"{what} must be whitespace-separated integers, got {text!r}")
+        raise ValueError(f"{what} must be whitespace-separated integers, got {text!r}")
 
 
 def _read_tree_file(path: str) -> WeightedTree:
@@ -391,9 +393,9 @@ def cmd_perm_table(t, k_max, fmt):
     simple = t.is_simple()
     n_table, m_table = permlab.perm_tables(t)
     tables = {
-        "N": (n_table, det_bareiss(build_dq_star(t)),
+        "N": (n_table, det_bareiss(tree_congruent(t, build_dq_star(t))),
               permlab.n_closed_table(t.n) if simple else None),
-        "M": (m_table, det_bareiss(build_dq(t)),
+        "M": (m_table, det_bareiss(tree_congruent(t, build_dq(t))),
               permlab.m_closed_table(t.n) if simple else None),
     }
     ok = True

@@ -15,8 +15,11 @@ A matrix is a tuple of rows of canonical coefficient tuples, as the
 (``_kernels.bareiss_det``): the compiled C kernel eliminates over
 polynomials in 64-bit words, and the pure kernel, which also takes over
 when the compiled one would overflow, eliminates over the integers after
-Kronecker substitution; ``_kernels.pure.bareiss_det`` gives the method and
-its proof of exactness.
+Kronecker substitution at the Hadamard width; ``_kernels.pure.bareiss_det``
+gives the method and its proof of exactness.  The width, and with it the
+cost, grows with the entries: the identity suite hands the kernel D*_q
+and D_q in their tree-congruent form (``qmatrix.tree_congruent``), which
+keeps the determinant and the leaf minors and is far narrower.
 """
 
 from __future__ import annotations
@@ -42,11 +45,10 @@ def det_bareiss(m: tuple) -> Poly:
     """Exact determinant by fraction-free Bareiss elimination in the kernel layer.
 
     The compiled kernel eliminates over polynomials.  The pure one
-    eliminates Kronecker-packed integers, a large matrix at a narrow width
-    certified by evaluations, and a large symmetric one on its upper
-    triangle alone (``_kernels.pure.bareiss_det``).  The kernel reads the
-    rows of coefficient tuples as they are stored; it raises ValueError on
-    an empty or non-square matrix.
+    eliminates Kronecker-packed integers at the Hadamard width
+    (``_kernels.pure.bareiss_det``).  The kernel reads the rows of
+    coefficient tuples as they are stored; it raises ValueError on an
+    empty or non-square matrix.
     """
     return _make(_kernels.bareiss_det(m))
 

@@ -2,7 +2,10 @@
 
 Each tree's four matrices D, D + xJ, D*_q and D_q are built once and each
 of their determinants is taken once; every check compares values already
-in hand.  The suite checks
+in hand.  D*_q and D_q are first taken to their tree-congruent form
+(``qmatrix.tree_congruent``): a diagonal matrix and an arrowhead, which
+keep the determinant, and for D_q every minor at non-root leaves, and
+pack far narrower.  The suite checks
 
 - the four determinants against their closed forms (Bapat-Kirkland-Neumann
   for D and D + xJ, a product over the edges for D*_q and a sum over the
@@ -10,10 +13,11 @@ in hand.  The suite checks
 - on unit-weight trees, Graham-Pollak and the two simple-tree corollaries;
 - from n = 3, the condensation identity on D_q and the corner-minor
   formula, and from n = 4 the four-term recurrence, on minors of the same
-  D_q at the tree's smallest and largest leaf labels u < v.  The paper
-  states the last two with v_1 and v_n pendant; relabelling u -> 1 and
-  v -> n conjugates D_q by a permutation, which keeps principal minors
-  and moves the (u, v) cofactor to (1, n) unchanged;
+  D_q at the tree's smallest and largest leaf labels u < v, taken from
+  its congruent form, whose root is no leaf.  The paper states the last
+  two with v_1 and v_n pendant; relabelling u -> 1 and v -> n conjugates
+  D_q by a permutation, which keeps principal minors and moves the (u, v)
+  cofactor to (1, n) unchanged;
 - up to n = GENFUN_MAX_N (8), the generating-function identities: the
   brute-force permutation tables N and M, both from one sweep over the n!
   permutations (``permlab.perm_tables``), against det D*_q and det D_q.
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from . import closedforms, permlab
 from .exactdet import check_dodgson_identity, det_bareiss, minor_det
 from .polyring import Poly, qbracket
-from .qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star
+from .qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star, tree_congruent
 from .treekit import WeightedTree, canonical_order
 
 __all__ = ["GENFUN_MAX_N", "DetCheck", "det_checks", "identity_suite", "suite_key"]
@@ -44,7 +48,7 @@ GENFUN_MAX_N = 8
 @dataclass(frozen=True)
 class DetCheck:
     name: str
-    matrix: tuple  # rows of coefficient tuples, as the qmatrix builders return
+    matrix: tuple  # the rows the determinant is taken of; D*_q and D_q tree-congruent
     determinant: Poly
     closed: Poly
 
@@ -54,13 +58,17 @@ class DetCheck:
 
 
 def det_checks(t: WeightedTree) -> list[DetCheck]:
-    """Each matrix's determinant against its closed form: D, D+xJ, Dq*, Dq."""
+    """Each matrix's determinant against its closed form: D, D+xJ, Dq*, Dq.
+
+    D and D + xJ are taken as built; D*_q and D_q in their tree-congruent
+    form, which has the same determinant.
+    """
     ws = t.weights
     return [DetCheck(name, m, det_bareiss(m), closed) for name, m, closed in (
         ("D", build_d(t), Poly([closedforms.bkn_det(ws)])),
         ("D+xJ", build_d_plus_xJ(t), closedforms.bkn_det_xj(ws)),
-        ("Dq*", build_dq_star(t), closedforms.dq_star_closed(ws)),
-        ("Dq", build_dq(t), closedforms.dq_closed(ws)),
+        ("Dq*", tree_congruent(t, build_dq_star(t)), closedforms.dq_star_closed(ws)),
+        ("Dq", tree_congruent(t, build_dq(t)), closedforms.dq_closed(ws)),
     )]
 
 

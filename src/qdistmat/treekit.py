@@ -11,7 +11,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import operator
 import random
+import re
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "tree_from_json_dict",
     "tree_to_json_dict",
     "load_tree",
+    "parse_int",
 ]
 
 MAX_EXHAUSTIVE_N = 8
@@ -49,13 +52,39 @@ class InvalidTreeError(ValueError):
         self.code = code
 
 
+def _integer(x) -> int:
+    """x as an int: what ``operator.index`` accepts, except a bool.
+
+    A float, bool or string is rejected rather than truncated or coerced,
+    as the file formats reject them.  Callers that expect plain ints call
+    this only when ``type`` finds something else.
+    """
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise InvalidTreeError("format", f"expected an integer, got {x!r}")
+    return operator.index(x)
+
+
+def parse_int(token: str) -> int:
+    """The integer a text token spells: an optional sign and ASCII digits.
+
+    ``int`` would also take "1_0" as 10 and non-ASCII digits such as "٣";
+    those raise ValueError here.
+    """
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 class WeightedTree:
     """A tree on vertices 1..n with positive integer edge weights."""
 
     __slots__ = ("n", "edges", "_adj", "_dist")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
-        edges = tuple((int(u), int(v), int(w)) for u, v, w in edges)
+        edges = tuple((u, v, w) for u, v, w in edges)
+        if set(map(type, itertools.chain((n,), *edges))) - {int}:
+            n = _integer(n)
+            edges = tuple(tuple(map(_integer, e)) for e in edges)
         if n < 1:
             raise InvalidTreeError("label-range", f"vertex count {n} < 1")
         if len(edges) != n - 1:
@@ -150,9 +179,12 @@ def prufer_decode(
     Weights attach to edges in decode order: the i-th emitted edge gets
     weights[i].  The classic smallest-leaf rule fixes the decode order.
     """
+    seq = list(seq)
+    if set(map(type, (n, *seq))) - {int}:
+        n = _integer(n)
+        seq = list(map(_integer, seq))
     if n < 2:
         raise InvalidTreeError("label-range", "Prufer decoding needs n >= 2")
-    seq = [int(a) for a in seq]
     if len(seq) != n - 2:
         raise InvalidTreeError(
             "edge-count", f"Prufer sequence for n={n} must have length {n - 2}"
@@ -160,7 +192,7 @@ def prufer_decode(
     for a in seq:
         if not 1 <= a <= n:
             raise InvalidTreeError("label-range", f"Prufer label {a} leaves 1..{n}")
-    weights = [int(w) for w in weights]
+    weights = list(weights)  # WeightedTree checks that they are integers
     if len(weights) != n - 1:
         raise InvalidTreeError("edge-count", f"need {n - 1} weights, got {len(weights)}")
     degree = [1] * (n + 1)
@@ -370,7 +402,7 @@ def parse_tree_text(text: str) -> WeightedTree:
     if not lines:
         raise InvalidTreeError("format", "empty tree file")
     try:
-        n = int(lines[0])
+        n = parse_int(lines[0])
     except ValueError:
         raise InvalidTreeError("format", f"first line must be the vertex count, got {lines[0]!r}")
     edges = []
@@ -379,7 +411,7 @@ def parse_tree_text(text: str) -> WeightedTree:
         if len(parts) != 3:
             raise InvalidTreeError("format", f"edge line must be 'u v w', got {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
+            edges.append(tuple(map(parse_int, parts)))
         except ValueError:
             raise InvalidTreeError("format", f"non-integer edge line {ln!r}")
     return WeightedTree(n, edges)

@@ -75,8 +75,8 @@ def test_det_rejects_cycle_file(runner, tmp_path):
     assert result.exit_code == 2
 
 
-class JsonTree(str):
-    """A tree file's JSON text, written to a file whose path replaces it."""
+class TreeFile(str):
+    """A tree file's text or JSON, written to a file whose path replaces it."""
 
 
 @pytest.mark.parametrize("args", [
@@ -92,21 +92,29 @@ class JsonTree(str):
     ["verify", "--random", "3", "--max-weight", "100000000000"],
     ["wiener", "--path", "3", "--weights", "6000 5000"],
     # a JSON tree file takes only JSON integers (not bool) for n and edge fields
-    ["det", "--tree", JsonTree('{"n": 2, "edges": [[1, 2, 1e400]]}')],
-    ["det", "--tree", JsonTree('{"n": 1e400, "edges": [[1, 2, 1]]}')],
-    ["det", "--tree", JsonTree('{"n": 2, "edges": [[1, 2, 1.5]]}')],
-    ["det", "--tree", JsonTree('{"n": 2.0, "edges": [[1, 2, 1]]}')],
-    ["det", "--tree", JsonTree('{"n": 3, "edges": [[1, 2, 1], [true, 3, 1]]}')],
-    ["det", "--tree", JsonTree('{"n": 2, "edges": [[1, "2", 1]]}')],
-    ["gen-tree", "--tree", JsonTree('{"n": 3, "edges": [[1, 2, 2.0], [2, 3, 1]]}')],
-    ["det", "--tree", JsonTree('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")],
+    ["det", "--tree", TreeFile('{"n": 2, "edges": [[1, 2, 1e400]]}')],
+    ["det", "--tree", TreeFile('{"n": 1e400, "edges": [[1, 2, 1]]}')],
+    ["det", "--tree", TreeFile('{"n": 2, "edges": [[1, 2, 1.5]]}')],
+    ["det", "--tree", TreeFile('{"n": 2.0, "edges": [[1, 2, 1]]}')],
+    ["det", "--tree", TreeFile('{"n": 3, "edges": [[1, 2, 1], [true, 3, 1]]}')],
+    ["det", "--tree", TreeFile('{"n": 2, "edges": [[1, "2", 1]]}')],
+    ["gen-tree", "--tree", TreeFile('{"n": 3, "edges": [[1, 2, 2.0], [2, 3, 1]]}')],
+    ["det", "--tree", TreeFile('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")],
+    # integers in text input are an optional sign and ASCII digits
+    ["det", "--path", "3", "--weights", "1_0 \u0663"],
+    ["det", "--path", "3", "--weights", "1_0 1"],
+    ["det", "--path", "3", "--weights", "1 \u0663"],
+    ["det", "--prufer", "\u0662"],
+    ["det", "--prufer", "+-2"],
+    ["det", "--tree", TreeFile("3\n1 2 1_0\n2 3 1\n")],
+    ["det", "--tree", TreeFile("\u0663\n1 2 1\n2 3 1\n")],
 ])
 def test_bad_tree_input_exits_2(runner, tmp_path, args):
     args = list(args)
     for i, arg in enumerate(args):
-        if isinstance(arg, JsonTree):
+        if isinstance(arg, TreeFile):
             path = tmp_path / "tree.json"
-            path.write_text(arg)
+            path.write_text(arg, encoding="utf-8")
             args[i] = str(path)
     result = runner.invoke(cli.main, args)
     assert result.exit_code == 2

@@ -180,7 +180,8 @@ WS29 = [1 + (7 * i) % 3 for i in range(29)]
                          + [path_tree(30, WS29), star_tree(30, WS29)],
                          ids=[f"random{n}" for n in range(26, 31)] + ["path30", "star30"])
 def test_bareiss_closed_forms_large(t):
-    # beyond the 64-bit packing width: narrow decoding plus its certificate
+    # the raw matrices, past the 64-bit packing width: one elimination at
+    # the Hadamard width, far wider than the congruent forms would need
     assert det_bareiss(build_dq(t)) == closedforms.dq_closed(t.weights)
     assert det_bareiss(build_dq_star(t)) == closedforms.dq_star_closed(t.weights)
     assert det_bareiss(build_d_plus_xJ(t)) == closedforms.bkn_det_xj(t.weights)

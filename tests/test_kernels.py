@@ -9,18 +9,18 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, permutations, zip_longest
+from itertools import permutations
 
 import pytest
 
-from qdistmat import _kernels, closedforms, permlab
+from qdistmat import _kernels, closedforms
 from qdistmat._kernels import BACKEND, pure
 from qdistmat.exactdet import det_cofactor
 from qdistmat.identities import identity_suite
 from qdistmat.polyring import Poly
-from qdistmat.qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star
+from qdistmat.qmatrix import build_d, build_dq, build_dq_star
 from qdistmat.treekit import (
-    all_pairs_distances, enumerate_trees, from_edges, path_tree, random_tree, star_tree,
+    all_pairs_distances, from_edges, path_tree, random_tree, star_tree,
 )
 
 COMPILED = ("bareiss_det", "perm_tables")
@@ -279,217 +279,15 @@ def test_int_det_under_row_and_column_permutations():
             assert pure._int_det(pmq) == perm_sign(p) * perm_sign(q) * det, (p, q)
 
 
-# -- pure _sym_det: symmetric elimination on the upper triangle -------------
-
-
-def t_forcing_block(rng):
-    # [[x, -s], [-s, 2s - x]]: the off-diagonal s is narrower than both
-    # diagonal entries, and s_aa + 2 s_ab + s_bb = 0, so only t = -1 gives
-    # a nonzero pivot
-    s = rng.choice([1, -1, 2, -3])
-    x = rng.choice([9, -13, 2 ** 20])
-    return [[x, -s], [-s, 2 * s - x]]
-
-
-def symmetric_matrices(rng):
-    # (kind, matrix) pairs of order 1..8 whose entries span 0 to 40 bits
-    def entry():
-        return rng.choice([0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-2 ** 40, 2 ** 40)])
-
-    def symmetric(n):
-        m = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                m[i][j] = m[j][i] = entry()
-        return m
-
-    for n in range(1, 9):
-        for _ in range(12):
-            m = symmetric(n)
-            yield "random", m
-            yield "zero diagonal", [[0 if i == j else x for j, x in enumerate(row)]
-                                    for i, row in enumerate(m)]
-            i = rng.randrange(n)
-            yield "zero row", [[0 if i in (r, c) else x for c, x in enumerate(row)]
-                               for r, row in enumerate(m)]
-            # A diag(c) A^T of rank r <= n - 2: the trailing block is zero
-            # after step r
-            r = rng.randint(0, max(0, n - 2))
-            a = [[entry() for _ in range(r)] for _ in range(n)]
-            c = [entry() for _ in range(r)]
-            yield f"rank {r}", [[sum(a[i][k] * c[k] * a[j][k] for k in range(r))
-                                 for j in range(n)] for i in range(n)]
-            if n >= 3:
-                # a t-forcing block among wide entries, at a random place
-                big = [[x * 2 ** 50 + 2 ** 49 for x in row] for row in symmetric(n)]
-                a, b = rng.sample(range(n), 2)
-                block = t_forcing_block(rng)
-                for u, v in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                    big[(a, b)[u]][(a, b)[v]] = block[u][v]
-                yield "t = -1 block", big
-
-
-def test_sym_det_matches_int_det():
-    for kind, m in symmetric_matrices(random.Random(14)):
-        want = fraction_det(m)
-        assert pure._int_det([row[:] for row in m]) == want, (kind, m)
-        assert pure._sym_det([row[:] for row in m]) == want, (kind, m)
-
-
-@pytest.mark.parametrize("x", [5, -7, 2 ** 20])
-def test_sym_det_takes_t_minus_one(x):
-    # the first step meets [[x, 1], [1, -2 - x]] with nothing narrower on the
-    # diagonal: t = +1 would pivot on zero and divide by it in the next step
-    m = [[x, 1, 0, 3 * x], [1, -2 - x, 2 * x, 0], [0, 2 * x, 4 * x, x], [3 * x, 0, x, -x]]
-    assert pure._sym_det([row[:] for row in m]) == fraction_det(m) != 0
-
-
-def test_sym_det_reads_only_the_upper_triangle():
-    rng = random.Random(15)
-    for kind, m in symmetric_matrices(rng):
-        upper = [[x if j >= i else None for j, x in enumerate(row)] for i, row in enumerate(m)]
-        assert pure._sym_det(upper) == fraction_det(m), (kind, m)
-
-
-# -- pure bareiss_det: the row-reduced Hadamard bound ------------------------
-
-
-def norm_sq(coeffs):
-    return sum(c * c for c in coeffs)
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21, 30])
-def test_reduced_bound_covers_tree_determinants(n):
-    for seed in range(3):
-        t = random_tree(n, 4, seed)
-        ws = t.weights
-        for build, closed in ((build_d, Poly([closedforms.bkn_det(ws)])),
-                              (build_d_plus_xJ, closedforms.bkn_det_xj(ws)),
-                              (build_dq_star, closedforms.dq_star_closed(ws)),
-                              (build_dq, closedforms.dq_closed(ws))):
-            assert pure._reduced_sq(build(t)) >= norm_sq(closed.coeffs), (n, seed, build.__name__)
-
-
-def near_duplicate_rows(rng, n):
-    # random polynomial rows, one of them a small change of another: the row
-    # tree joins the pair, and any bound that drops the larger row's norm
-    # falls below ||det||^2
-    rows = [[random_coeffs(rng, 5, 10 ** 6) for _ in range(n)] for _ in range(n)]
-    i, j = rng.sample(range(n), 2)
-    rows[j] = [canon(a + b for a, b in zip_longest(e, random_coeffs(rng, 2, 3), fillvalue=0))
-               for e in rows[i]]
-    return rows
-
-
-def test_reduced_bound_covers_random_determinants():
-    rng = random.Random(16)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        rows = [[random_coeffs(rng, 6, 50) for _ in range(n)] for _ in range(n)]
-        assert pure._reduced_sq(rows) >= norm_sq(cofactor_det(rows)), rows
-        if n >= 2:
-            rows = near_duplicate_rows(rng, n)
-            assert pure._reduced_sq(rows) >= norm_sq(cofactor_det(rows)), rows
-
-
-def test_row_tree_is_a_tree_rooted_at_root():
-    # each row reaches the root through its parents, so L is unit triangular
-    # in the order the rows join; two rows that are each other's parent
-    # would make it singular
-    rng = random.Random(17)
-    for _ in range(100):
-        n = rng.randint(1, 9)
-        ones = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        for i, j in rng.sample([(a, b) for a in range(n) for b in range(n) if a != b],
-                               min(2, n * (n - 1))):
-            ones[j] = ones[i][:]
-        root = rng.randrange(n)
-        parent = pure._row_tree(ones, root)
-        assert parent[root] is None
-        for i in range(n):
-            seen = {i}
-            while i != root:
-                i = parent[i]
-                assert i is not None and i not in seen, parent
-                seen.add(i)
-
-
-def test_reduced_bound_cuts_the_check_points(monkeypatch):
-    # D_q of random_tree(24, 4, 0): the certificate of the 58-bit decode
-    # takes 13 evaluations against the Hadamard bound and 4 against the
-    # reduced one
-    rows = build_dq(random_tree(24, 4, 0))
-    p = pure.bareiss_det(rows)
-    sq, sq_reduced = hadamard_sq(rows), pure._reduced_sq(rows)
-    assert sq_reduced.bit_length() < sq.bit_length() - 100
-    evaluations = []
-    for bound in (sq, sq_reduced):
-        calls = Counter()
-        with monkeypatch.context() as m:
-            counting(m, calls, "_det_at")
-            assert pure._certified(rows, p, 58, bound, True)
-        evaluations.append(calls["_det_at"])
-    assert evaluations == [13, 4]
-
-
-def test_certificate_against_the_reduced_bound_rejects_forgeries():
-    # a forgery that agrees at 2^32 and at every check point the true
-    # determinant's certificate uses must still meet one where it differs
-    rows = build_dq(random_tree(9, 3, 1))
-    p, sq = pure.bareiss_det(rows), pure._reduced_sq(rows)
-    assert sq < hadamard_sq(rows)
-    assert pure._certified(rows, p, 32, sq, True)
-    for k in range(1, 6):
-        bad = forged(p, [2 ** 32, *islice(pure._check_points(rows), k)])
-        assert not pure._certified(rows, bad, 32, sq, True), k
-
-
-# -- pure bareiss_det: which matrices take the wide route --------------------
-
-
-def test_small_unit_weight_matrices_take_the_direct_path(monkeypatch):
-    # every determinant identity_suite takes for n <= 6 with unit weights is
-    # one _int_det at the Hadamard width, as before the wide route existed,
-    # except on a matrix with a zero row, which needs none
-    dets = Counter()
-
-    def bareiss_det(rows):
-        dets["bareiss_det"] += 1
-        dets["zero row"] += not all(map(any, rows))
-        return pure.bareiss_det(rows)
-
-    monkeypatch.setattr(_kernels, "bareiss_det", bareiss_det)
-    monkeypatch.setattr(permlab, "perm_tables", lambda t: (Poly(), Poly()))
-    counting(monkeypatch, dets, "_int_det", "_sym_det", "_certified", "_reduced_sq")
-    for n in range(2, 7):
-        for t in enumerate_trees(n):
-            identity_suite(t)
-    calls, zero = dets.pop("bareiss_det"), dets.pop("zero row")
-    assert calls > 9 * 1296
-    assert dets == {"_int_det": calls - zero}
-
-
-def test_wide_entries_take_the_narrow_route(monkeypatch):
-    # D*_q of random_tree(24, 4, 0) has a Hadamard width below 64 bits but
-    # entries of up to 37 coefficients: it decodes at 32 bits, certified
-    t = random_tree(24, 4, 0)
-    rows = build_dq_star(t)
-    assert (hadamard_sq(rows).bit_length() + 1) // 2 + 2 <= 64
-    widths = []
-
-    def certified(rows, p, bits, *args, real=pure._certified):
-        widths.append(bits)
-        return real(rows, p, bits, *args)
-
-    monkeypatch.setattr(pure, "_certified", certified)
-    assert pure.bareiss_det(rows) == list(closedforms.dq_star_closed(t.weights).coeffs)
-    assert widths == [32]
+# -- pure bareiss_det: raw tree matrices and wide coefficients ---------------
 
 
 @pytest.mark.parametrize("n", range(20, 25))
 def test_pure_bareiss_independent_of_vertex_order(n):
     # conjugating by a vertex permutation leaves the determinant as it is
-    # but changes which of the tied entries the pivot rule takes
+    # but changes which of the tied entries the pivot rule takes; the raw
+    # q-matrices, not their congruent forms, are the widest the kernel
+    # meets at these sizes (D_q of random_tree(24, 4, 0) packs at 152 bits)
     t = random_tree(n, 4, 0)
     order = random.Random(n).sample(range(n), n)
     for build, closed in ((build_dq, closedforms.dq_closed),
@@ -500,9 +298,6 @@ def test_pure_bareiss_independent_of_vertex_order(n):
         assert pure.bareiss_det(rows) == pure.bareiss_det(conj) == want, build.__name__
 
 
-# -- pure bareiss_det: narrow decoding, its certificate, and widening ---------
-
-
 def scale_first_row(rows, factor):
     return [[[c * factor for c in e] for e in rows[0]]] + rows[1:]
 
@@ -511,45 +306,33 @@ def hadamard_sq(rows):
     return math.prod(sum(sum(map(abs, e)) ** 2 for e in row) for row in rows)
 
 
-def counting(monkeypatch, calls, *names):
-    # rebind pure's helpers so that calls[name] counts the calls of each
-    for name in names:
-        def counted(*args, fn=getattr(pure, name), name=name):
-            calls[name] += 1
-            return fn(*args)
-
-        monkeypatch.setattr(pure, name, counted)
-
-
 def test_pure_bareiss_takes_constant_matrices_in_one_elimination(monkeypatch):
-    # D at n = 24 is past the 64-bit Hadamard width; det M(1) is det M
+    # D at n = 24 is past the 64-bit Hadamard width, and still one
+    # elimination at that width
     t = random_tree(24, 4, 0)
     calls = Counter()
-    counting(monkeypatch, calls, "_int_det", "_sym_det")
+
+    def int_det(m, real=pure._int_det):
+        calls["_int_det"] += 1
+        return real(m)
+
+    monkeypatch.setattr(pure, "_int_det", int_det)
     rows = build_d(t)
     assert (hadamard_sq(rows).bit_length() + 1) // 2 + 2 > 64
     assert pure.bareiss_det(rows) == [closedforms.bkn_det(t.weights)]
-    assert calls == {"_sym_det": 1}
+    assert calls == {"_int_det": 1}
 
 
-def test_pure_bareiss_widens_after_failed_certificates(monkeypatch):
-    # det D*_q(1) = 0 puts the first width at 32 bits, and the scaled row
-    # puts every coefficient of the determinant past 2^80
+def test_pure_bareiss_wide_coefficients_match_the_closed_form():
+    # the scaled row puts every coefficient of the determinant past 2^80
     t = random_tree(22, 4, 5)
     rows = scale_first_row(list(build_dq_star(t)), 2 ** 80)
-    verdicts = []
-
-    def certified(rows, p, bits, *args, real=pure._certified):
-        verdicts.append((bits, real(rows, p, bits, *args)))
-        return verdicts[-1][1]
-
-    monkeypatch.setattr(pure, "_certified", certified)
     want = [2 ** 80 * c for c in closedforms.dq_star_closed(t.weights).coeffs]
     assert pure.bareiss_det(rows) == want
-    assert verdicts == [(32, False), (64, False), (128, True)]
 
 
 def test_pure_bareiss_widening_matches_cofactor():
+    # coefficients past 2^80 widen the packing far past the entries' own
     for n in range(2, 7):
         rows = scale_first_row(list(build_dq_star(random_tree(n, 4, n))), 2 ** 80)
         assert pure.bareiss_det(rows) == cofactor_det(rows), n
@@ -557,53 +340,6 @@ def test_pure_bareiss_widening_matches_cofactor():
     for _ in range(60):
         n = rng.randint(1, 6)
         rows = [[random_coeffs(rng, 4, 30) for _ in range(n)] for _ in range(n)]
-        # a first row divisible by q - 1 makes det M(1) = 0 as well
+        # a first row with coefficients of 2^80, divisible by q - 1
         rows[0] = [list((Poly(e) * Poly([-2 ** 80, 2 ** 80])).coeffs) for e in rows[0]]
         assert pure.bareiss_det(rows) == cofactor_det(rows), rows
-
-
-def forged(p, roots):
-    # p + prod (q - r): equal to p exactly at the roots
-    r = Poly([1])
-    for x in roots:
-        r = r * Poly([-x, 1])
-    return canon(a + b for a, b in zip_longest(p, r.coeffs, fillvalue=0))
-
-
-SMALL_POLY_MATRICES = {
-    "general": [[[1, 2], [3, -1], [0, 1]], [[2], [1, 1], [5]], [[-1, 1], [4], [2, 3]]],
-    "symmetric": [[[1, 2], [3, -1], [0, 1]], [[3, -1], [1, 1], [5]], [[0, 1], [5], [2, 3]]],
-}
-
-
-def test_certificate_needs_more_points_than_the_degree():
-    # linear entries bound deg det by 3; a forgery of degree k + 1 that
-    # agrees at 2^32 and the first k check points must meet point k + 1
-    for kind, rows in SMALL_POLY_MATRICES.items():
-        sym = kind == "symmetric"
-        p, sq = cofactor_det(rows), hadamard_sq(rows)
-        assert pure._certified(rows, p, 32, sq, sym)
-        for k in (2, 3):  # a quartic forgery: the count follows deg p, not 3
-            bad = forged(p, [2 ** 32, *islice(pure._check_points(rows), k)])
-            assert len(bad) - 1 == k + 1
-            assert not pure._certified(rows, bad, 32, sq, sym), kind
-
-
-def test_certificate_needs_a_product_above_the_norm_bound():
-    # entries of degree 12 leave the degree bound far off, so the product
-    # of the points ends the checks; a forgery that agrees at 2^32 and the
-    # first three check points must meet the fourth
-    rng = random.Random(12)
-    rows = [[[rng.randint(-30, 30) for _ in range(12)] + [1] for _ in range(3)]
-            for _ in range(3)]
-    p, sq = cofactor_det(rows), hadamard_sq(rows)
-    bad = forged(p, [2 ** 32, *islice(pure._check_points(rows), 3)])
-    assert pure._certified(rows, p, 32, sq, False)
-    assert not pure._certified(rows, bad, 32, sq, False)
-
-
-def test_check_points_are_distinct_odd_integers():
-    for rows in ([[[1]]], [[[1, 1]]], [[[0] * 40 + [1]]]):
-        pts = list(islice(pure._check_points(rows), 50))
-        assert len(set(pts)) == 50
-        assert all(a % 2 and abs(a) > 64 for a in pts)

@@ -1,9 +1,13 @@
-"""Matrix builders and minors."""
+"""Matrix builders, minors, and the tree congruence."""
 
+import math
 import random
 
 import pytest
 
+from qdistmat import _kernels, closedforms
+from qdistmat.exactdet import det_bareiss, det_cofactor
+from qdistmat.identities import det_checks
 from qdistmat.polyring import Poly, qbracket, qpower
 from qdistmat.qmatrix import (
     build_d,
@@ -11,8 +15,11 @@ from qdistmat.qmatrix import (
     build_dq,
     build_dq_star,
     minor,
+    tree_congruent,
 )
-from qdistmat.treekit import all_pairs_distances, from_edges, path_tree, random_tree, star_tree
+from qdistmat.treekit import (
+    all_pairs_distances, enumerate_trees, from_edges, path_tree, random_tree, star_tree,
+)
 
 
 def values_at(m, t):
@@ -162,3 +169,89 @@ def test_builders_share_one_canonical_tuple_per_distance():
             sub = minor(m, {1}, {1})
             assert all(e is shared[x] for drow, row in zip(dist[1:], sub)
                        for x, e in zip(drow[1:], row))
+
+
+# -- tree_congruent: C = L M L^T, same determinant and leaf minors -----------
+
+
+def congruence_corpus():
+    # every labelled tree with n = 2..6, and 50 seeded weighted trees, n <= 9
+    trees = [t for n in range(2, 7) for t in enumerate_trees(n)]
+    rng = random.Random(17)
+    trees += [random_tree(rng.randint(2, 9), 4, rng.getrandbits(63)) for _ in range(50)]
+    return trees
+
+
+def leaf_minor_dets(m, u, v):
+    # the five minors the identity suite takes at its leaf pair u < v
+    return [det_bareiss(minor(m, rows, cols))
+            for rows, cols in (((u,), (u,)), ((v,), (v,)), ((u,), (v,)), ((v,), (u,)),
+                               ((u, v), (u, v)))]
+
+
+def nonzeros(m):
+    return sum(bool(e) for row in m for e in row)
+
+
+def test_congruent_forms_keep_determinants_and_leaf_minors():
+    for t in congruence_corpus():
+        n = t.n
+        for build, size in ((build_dq_star, n), (build_dq, 3 * n - 3)):
+            m = build(t)
+            c = tree_congruent(t, m)
+            # diag(1, 1 - q^(2w)) for D*_q, an arrowhead for D_q
+            assert nonzeros(c) == size, (t, build.__name__)
+            det = det_bareiss(c)
+            assert det == det_bareiss(m), (t, build.__name__)
+            if n <= 6:
+                assert det == det_cofactor(c), (t, build.__name__)
+        if n >= 3:
+            leaves = t.pendant_vertices()
+            u, v = leaves[0], leaves[-1]
+            m = build_dq(t)
+            assert leaf_minor_dets(tree_congruent(t, m), u, v) == leaf_minor_dets(m, u, v), t
+
+
+@pytest.mark.parametrize("n, max_weight, seed", [
+    (12, 4, 0), (24, 3, 1), (36, 2, 2), (48, 2, 3), (60, 3, 4), (100, 1, 5),
+])
+def test_congruent_determinants_match_the_closed_forms(n, max_weight, seed):
+    t = random_tree(n, max_weight, seed)
+    ws = t.weights
+    assert det_bareiss(tree_congruent(t, build_dq_star(t))) == closedforms.dq_star_closed(ws)
+    assert det_bareiss(tree_congruent(t, build_dq(t))) == closedforms.dq_closed(ws)
+
+
+def test_a_wrong_multiplier_keeps_the_determinant():
+    # the same shape with every weight one higher gives c_v = q^(w_v + 1):
+    # C fills up, and its determinant stays det M
+    rng = random.Random(23)
+    for _ in range(20):
+        t = random_tree(rng.randint(2, 9), 3, rng.getrandbits(63))
+        heavier = from_edges(t.n, [(a, b, w + 1) for a, b, w in t.edges])
+        for build in (build_dq_star, build_dq):
+            m = build(t)
+            c = tree_congruent(heavier, m)
+            assert det_bareiss(c) == det_bareiss(m), (t, build.__name__)
+            if t.n > 2:
+                assert nonzeros(c) > nonzeros(tree_congruent(t, m)), (t, build.__name__)
+
+
+def hadamard_width(rows):
+    sq = math.prod(sum(sum(map(abs, e)) ** 2 for e in row) for row in rows)
+    return (sq.bit_length() + 1) // 2 + 2
+
+
+def test_det_checks_hand_the_kernel_narrow_q_matrices(monkeypatch):
+    # D_q of random_tree(24, 4, 0) packs at 152 bits as built
+    t = random_tree(24, 4, 0)
+    assert hadamard_width(build_dq(t)) > 64
+    widths = []
+
+    def bareiss_det(rows, real=_kernels.bareiss_det):
+        widths.append(hadamard_width(rows))
+        return real(rows)
+
+    monkeypatch.setattr(_kernels, "bareiss_det", bareiss_det)
+    assert all(c.passed for c in det_checks(t))
+    assert len(widths) == 4 and max(widths[2:]) <= 64, widths

@@ -45,6 +45,12 @@ def test_from_edges_valid():
         (3, [(1, 2, 1), (2, 3, -2)], "bad-weight"),
         (4, [(1, 2, 1), (2, 3, 1), (1, 3, 1)], "cycle"),
         (4, [(1, 2, 1), (3, 4, 1), (1, 2, 2)], "duplicate-edge"),
+        # integers only: a bool, float or str is rejected, not coerced
+        (3, [(1, 2, 1.7), (2, 3, 1)], "format"),
+        (3, [(1, 2, 1), (2, 3, True)], "format"),
+        (3, [(1, 2, 1), ("2", 3, 1)], "format"),
+        (3, [(1, 2.0, 1), (2, 3, 1)], "format"),
+        (3.0, [(1, 2, 1), (2, 3, 1)], "format"),
     ],
 )
 def test_from_edges_rejections(n, edges, code):
@@ -81,6 +87,20 @@ def test_prufer_rejections():
         prufer_decode([5, 1], 4, [1, 1, 1])
     with pytest.raises(InvalidTreeError):
         prufer_decode([1, 1], 4, [1, 1])
+
+
+@pytest.mark.parametrize("seq, n, weights", [
+    ([2.9], 3, [1, 1]),
+    ([True], 3, [1, 1]),
+    (["2"], 3, [1, 1]),
+    ([2], 3, [1, 1.0]),
+    ([2], 3, [1, False]),
+    ([2], "3", [1, 1]),
+])
+def test_prufer_takes_integers_only(seq, n, weights):
+    with pytest.raises(InvalidTreeError) as exc:
+        prufer_decode(seq, n, weights)
+    assert exc.value.code == "format"
 
 
 def test_enumerate_counts():
