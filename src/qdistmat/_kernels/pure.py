@@ -8,21 +8,17 @@ in the same canonical form.  The compiled module ``_speedups``
 machine-word fast paths; results must be identical.
 
 ``bareiss_det`` does not eliminate over polynomials: it packs each entry
-into one integer by Kronecker substitution (q = 2^b, ``pack``), runs
-integer Bareiss, and reads the coefficients back as signed base-2^b
-digits (``unpack``), so each elimination step is one big-integer
-multiply-subtract-divide instead of schoolbook polynomial products and
-exact divisions.  Each step pivots on the remaining entry of least bit
-length, which keeps the intermediates of tree distance matrices narrow
-until the last steps.  The width b comes from the Hadamard bound, at
-which decoding alone is exact; the proof is in the docstring of
-``bareiss_det``.  The identity suite hands the kernel D*_q and D_q in
-their tree-congruent form (``qmatrix.tree_congruent``), which keeps that
-width small.
+by Kronecker substitution (``polyring.pack``), runs integer Bareiss on
+the packed matrix and reads the coefficients back (``polyring.unpack``),
+at a width its docstring proves exact.  The identity suite hands it D*_q
+and D_q in their tree-congruent form (``qmatrix.tree_congruent``), which
+keeps that width small.
 """
 
 import itertools
 import operator
+
+from ..polyring import pack, unpack
 
 __all__ = [
     "bareiss_det",
@@ -120,26 +116,6 @@ def _int_det(m):
                 rowi[j] = (piv * rowi[j] - rik * rowk[j]) // prev
         prev = piv
     return sign * m[n - 1][n - 1]
-
-
-def pack(coeffs, bits):
-    # value at q = 2^bits, by shift-Horner
-    v = 0
-    for c in reversed(coeffs):
-        v = (v << bits) + c
-    return v
-
-
-def unpack(v, bits):
-    # signed base-2^bits digits of v, each in [-2^(bits-1), 2^(bits-1))
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    out = []
-    while v:
-        d = ((v + half) & mask) - half
-        out.append(d)
-        v = (v - d) >> bits
-    return out
 
 
 def _perm_signs(n):

@@ -24,10 +24,8 @@ import click
 
 from . import permlab, wiener
 from ._kernels import BACKEND
-from .exactdet import det_bareiss
 from .identities import det_checks, identity_suite, suite_key
 from .polyring import Poly
-from .qmatrix import build_dq, build_dq_star, tree_congruent
 from .treekit import (
     MAX_EXHAUSTIVE_N,
     WeightedTree,
@@ -106,6 +104,32 @@ def _check_exhaustive_cap(exhaustive_n: int, allow_n8: bool):
         )
 
 
+class IntegerParam(click.ParamType):
+    """An integer option, at least ``min``, spelled as ``treekit.parse_int`` reads it.
+
+    ``int`` would also take "1_0" and non-ASCII digits; they exit 2 here,
+    as in ``--weights``, ``--prufer`` and tree files.
+    """
+
+    name = "integer"
+
+    def __init__(self, min=None):
+        self.min = min
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str):
+            try:
+                value = parse_int(value)
+            except ValueError:
+                self.fail(f"{value!r} is not a valid integer.", param, ctx)
+        if self.min is not None and value < self.min:
+            self.fail(f"{value} is not in the range x>={self.min}.", param, ctx)
+        return value
+
+
+INTEGER = IntegerParam()
+
+
 # -- tree sources ----------------------------------------------------------
 
 
@@ -124,17 +148,17 @@ def tree_source_options(f):
                      help="Read the tree from FILE (text or JSON format)."),
         click.option("--prufer", "prufer_seq", metavar='"A B ..."', default=None,
                      help="Decode a Prufer sequence (n = length + 2)."),
-        click.option("--random", "random_n", type=int, default=None, metavar="N",
+        click.option("--random", "random_n", type=INTEGER, default=None, metavar="N",
                      help="Random labeled tree on N vertices."),
-        click.option("--path", "path_n", type=int, default=None, metavar="N",
+        click.option("--path", "path_n", type=INTEGER, default=None, metavar="N",
                      help="Path on N vertices."),
-        click.option("--star", "star_n", type=int, default=None, metavar="N",
+        click.option("--star", "star_n", type=INTEGER, default=None, metavar="N",
                      help="Star on N vertices (center is the last vertex)."),
         click.option("--weights", "weights_text", metavar='"W1 W2 ..."', default=None,
                      help="Edge weights for --prufer/--path/--star (default all 1)."),
-        click.option("--max-weight", type=int, default=1, show_default=True,
+        click.option("--max-weight", type=INTEGER, default=1, show_default=True,
                      help="Weight bound for --random."),
-        click.option("--seed", type=int, default=0, show_default=True,
+        click.option("--seed", type=INTEGER, default=0, show_default=True,
                      help="Seed for --random."),
     ]
     for opt in reversed(opts):
@@ -295,18 +319,18 @@ def _run_verify_corpus(trees, check_structure_independence):
 @main.command("verify")
 @click.option("--tree", "tree_file", metavar="FILE", default=None,
               help="Check the one tree in FILE (text or JSON format).")
-@click.option("--exhaustive", "exhaustive_n", type=int, default=None, metavar="N",
+@click.option("--exhaustive", "exhaustive_n", type=INTEGER, default=None, metavar="N",
               help="Check every labeled tree on N vertices (unit weights).")
-@click.option("--random", "trials", type=int, default=None, metavar="T",
+@click.option("--random", "trials", type=INTEGER, default=None, metavar="T",
               help="Check T random weighted trees.")
-@click.option("--trials", "trials_alias", type=int, default=None, metavar="T",
+@click.option("--trials", "trials_alias", type=INTEGER, default=None, metavar="T",
               help="Alias for --random T.")
-@click.option("--n-max", type=int, default=7, show_default=True,
+@click.option("--n-max", type=INTEGER, default=7, show_default=True,
               help="Largest vertex count for random trees (min 2).")
-@click.option("--max-weight", type=int, default=4, show_default=True,
+@click.option("--max-weight", type=INTEGER, default=4, show_default=True,
               help="Largest edge weight for random trees.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--weight", type=int, default=1, show_default=True,
+@click.option("--seed", type=INTEGER, default=0, show_default=True)
+@click.option("--weight", type=INTEGER, default=1, show_default=True,
               help="Uniform edge weight for --exhaustive.")
 @click.option("--allow-n8", is_flag=True,
               help="Raise the exhaustive cap from 7 to 8 (262144 trees, about "
@@ -383,8 +407,8 @@ def _table_json(kind: str, n: int, table: Poly, source: str) -> dict:
 
 @main.command("perm-table")
 @tree_source_options
-@click.option("--k-max", type=click.IntRange(min=0), default=None,
-              help="Largest k to report (default: largest nonzero entry).")
+@click.option("--k-max", type=IntegerParam(min=0), default=None,
+              help="Largest k to report, at least 0 (default: largest nonzero entry).")
 @output_option
 def cmd_perm_table(t, k_max, fmt):
     """Signed permutation statistics: oracle, determinant, and closed forms."""
@@ -392,11 +416,10 @@ def cmd_perm_table(t, k_max, fmt):
         raise click.UsageError(f"perm-table supports 2 <= n <= {permlab.PERM_MAX_N}")
     simple = t.is_simple()
     n_table, m_table = permlab.perm_tables(t)
+    dets = {c.name: c.determinant for c in det_checks(t)}
     tables = {
-        "N": (n_table, det_bareiss(tree_congruent(t, build_dq_star(t))),
-              permlab.n_closed_table(t.n) if simple else None),
-        "M": (m_table, det_bareiss(tree_congruent(t, build_dq(t))),
-              permlab.m_closed_table(t.n) if simple else None),
+        "N": (n_table, dets["Dq*"], permlab.n_closed_table(t.n) if simple else None),
+        "M": (m_table, dets["Dq"], permlab.m_closed_table(t.n) if simple else None),
     }
     ok = True
     payload_tables = {}
@@ -490,9 +513,9 @@ def cmd_gen_tree(t, out_file, fmt):
 
 
 @main.command("enumerate")
-@click.option("--exhaustive", "exhaustive_n", type=int, required=True, metavar="N",
+@click.option("--exhaustive", "exhaustive_n", type=INTEGER, required=True, metavar="N",
               help="Vertex count (all labeled trees).")
-@click.option("--weight", type=int, default=1, show_default=True,
+@click.option("--weight", type=INTEGER, default=1, show_default=True,
               help="Uniform edge weight.")
 @click.option("--allow-n8", is_flag=True,
               help="Raise the cap from 7 to 8 (262144 trees).")

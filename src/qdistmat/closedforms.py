@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .polyring import ONE, Poly, _make, qbracket, qpower
+from .treekit import as_int
 
 __all__ = [
     "graham_pollak",
@@ -29,7 +30,7 @@ WeightMultiset = Sequence[int]
 
 
 def _check_weights(weights: WeightMultiset) -> tuple[int, ...]:
-    ws = tuple(int(w) for w in weights)
+    ws = tuple(map(as_int, weights))
     if not ws:
         raise ValueError("need at least 1 edge weight")
     if any(w < 1 for w in ws):
@@ -113,12 +114,9 @@ def corner_minor_closed(w_first: int, w_last: int, w_rest: WeightMultiset) -> Po
     For a tree whose vertices v_1 and v_n are pendant with pendant-edge
     weights w_first and w_last: [w_first][w_last] prod [2w] over the rest.
     """
-    if w_first < 1 or w_last < 1:
-        raise ValueError("pendant-edge weights must be positive integers")
+    w_first, w_last, *rest = _check_weights((w_first, w_last, *w_rest))
     acc = qbracket(w_first) * qbracket(w_last)
-    for w in w_rest:
-        if w < 1:
-            raise ValueError("edge weights must be positive integers")
+    for w in rest:
         acc = acc * qbracket(2 * w)
     return acc
 

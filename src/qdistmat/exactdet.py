@@ -15,11 +15,12 @@ A matrix is a tuple of rows of canonical coefficient tuples, as the
 (``_kernels.bareiss_det``): the compiled C kernel eliminates over
 polynomials in 64-bit words, and the pure kernel, which also takes over
 when the compiled one would overflow, eliminates over the integers after
-Kronecker substitution at the Hadamard width; ``_kernels.pure.bareiss_det``
-gives the method and its proof of exactness.  The width, and with it the
-cost, grows with the entries: the identity suite hands the kernel D*_q
-and D_q in their tree-congruent form (``qmatrix.tree_congruent``), which
-keeps the determinant and the leaf minors and is far narrower.
+Kronecker substitution (``polyring.pack``) at the Hadamard width;
+``_kernels.pure.bareiss_det`` gives the method and its proof of
+exactness.  The width, and with it the cost, grows with the entries: the
+identity suite hands the kernel D*_q and D_q in their tree-congruent
+form (``qmatrix.tree_congruent``), which keeps the determinant and the
+leaf minors and is far narrower.
 """
 
 from __future__ import annotations

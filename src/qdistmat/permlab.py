@@ -18,7 +18,7 @@ import math
 
 from . import _kernels
 from .polyring import ONE, Poly, qbracket
-from .treekit import WeightedTree, all_pairs_distances
+from .treekit import WeightedTree, all_pairs_distances, as_int
 
 __all__ = [
     "PERM_MAX_N",
@@ -43,7 +43,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
+        images = tuple(map(as_int, images))
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"{images} is not a permutation of 1..{n}")

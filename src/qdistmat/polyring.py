@@ -8,6 +8,10 @@ distance matrix D(T) + xJ.
 
 The bracket of a nonnegative integer a is the polynomial
 1 + q + ... + q^(a-1), with bracket(0) = 0; at q = 1 it evaluates to a.
+
+Products go through one Kronecker codec, ``pack`` at q = 2^b and
+``unpack`` to signed base-2^b digits: ``Poly.__mul__``, the pure Bareiss
+kernel and ``qmatrix.tree_congruent`` each prove their own width b.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "Poly",
+    "pack",
+    "unpack",
     "qbracket",
     "qpower",
     "ZERO",
@@ -88,18 +94,21 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other) -> "Poly":
+        """Exact product: one integer product of the operands packed at q = 2^bits.
+
+        Each coefficient of a*b is a sum of at most s = min(len a, len b)
+        terms, each at most max|a| max|b| in absolute value.  So with
+        bits = bit_length(s max|a| max|b|) + 1 every coefficient lies in
+        (-2^(bits-1), 2^(bits-1)) and is one signed digit that ``unpack``
+        reads back; its last digit is nonzero, so the result is canonical.
+        """
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return _make(out)  # leading product of nonzeros is nonzero over the integers
+        bits = (min(len(a), len(b)) * max(map(abs, a), default=0)
+                * max(map(abs, b), default=0)).bit_length() + 1
+        return _make(unpack(pack(a, bits) * pack(b, bits), bits))
 
     __rmul__ = __mul__
 
@@ -226,6 +235,30 @@ class Poly:
     @classmethod
     def from_json_coeffs(cls, items: Sequence[str]) -> "Poly":
         return cls(int(s) for s in items)
+
+
+def pack(coeffs: Sequence[int], bits: int) -> int:
+    """``Poly.eval_int`` at q = 2^bits on a bare sequence, by shift-Horner."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << bits) + c
+    return v
+
+
+def unpack(v: int, bits: int) -> list[int]:
+    """The signed base-2^bits digits of v, each in [-2^(bits-1), 2^(bits-1)).
+
+    Little-endian and canonical (0 gives []).  Needs bits >= 2 when v > 0:
+    the digits -1 and 0 of bits = 1 spell no positive v.
+    """
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    out = []
+    while v:
+        d = ((v + half) & mask) - half
+        out.append(d)
+        v = (v - d) >> bits
+    return out
 
 
 def _coerce(value):

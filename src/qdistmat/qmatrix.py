@@ -19,8 +19,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Iterable
 
-from ._kernels.pure import pack, unpack
-from .polyring import qbracket, qpower
+from .polyring import pack, qbracket, qpower, unpack
 from .treekit import WeightedTree, all_pairs_distances
 
 __all__ = [
@@ -96,7 +95,7 @@ def tree_congruent(t: WeightedTree, m: tuple) -> tuple:
       the kept rows R' and columns S', and both outer factors are
       principal submatrices of unit triangular matrices, of determinant 1.
 
-    The entries are computed packed, at q = 2^b (``_kernels.pure.pack``).
+    The entries are computed packed, at q = 2^b (``polyring.pack``).
     Each entry of C is a signed sum of at most 8 shifted entries of M, so
     its coefficients stay below 8 times the largest of M in absolute
     value, and b is wide enough to read them back.

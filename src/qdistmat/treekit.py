@@ -35,6 +35,7 @@ __all__ = [
     "tree_to_json_dict",
     "load_tree",
     "parse_int",
+    "as_int",
 ]
 
 MAX_EXHAUSTIVE_N = 8
@@ -44,7 +45,8 @@ class InvalidTreeError(ValueError):
     """Raised when an edge list does not describe a weighted tree.
 
     ``code`` identifies the specific violation: edge-count, label-range,
-    self-loop, duplicate-edge, bad-weight, cycle, disconnected, or format.
+    self-loop, duplicate-edge, bad-weight, cycle, or format.  (n - 1 edges
+    without a cycle always connect the n vertices.)
     """
 
     def __init__(self, code: str, message: str):
@@ -52,16 +54,23 @@ class InvalidTreeError(ValueError):
         self.code = code
 
 
-def _integer(x) -> int:
+def as_int(x) -> int:
     """x as an int: what ``operator.index`` accepts, except a bool.
 
-    A float, bool or string is rejected rather than truncated or coerced,
-    as the file formats reject them.  Callers that expect plain ints call
-    this only when ``type`` finds something else.
+    A float, bool or string raises ValueError rather than being truncated
+    or coerced, as the file formats reject them.
     """
     if isinstance(x, bool) or not hasattr(type(x), "__index__"):
-        raise InvalidTreeError("format", f"expected an integer, got {x!r}")
+        raise ValueError(f"expected an integer, got {x!r}")
     return operator.index(x)
+
+
+def _integer(x) -> int:
+    # as_int for tree input, which calls it only when ``type`` finds no int
+    try:
+        return as_int(x)
+    except ValueError as exc:
+        raise InvalidTreeError("format", str(exc)) from None
 
 
 def parse_int(token: str) -> int:
@@ -116,8 +125,6 @@ class WeightedTree:
             if ru == rv:
                 raise InvalidTreeError("cycle", f"edge ({u},{v}) closes a cycle")
             parent[ru] = rv
-        if n > 1 and len({find(v) for v in range(1, n + 1)}) != 1:
-            raise InvalidTreeError("disconnected", "edge set is not connected")
         self.n = n
         self.edges = edges
         self._adj = None

@@ -123,6 +123,45 @@ def test_bad_tree_input_exits_2(runner, tmp_path, args):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+# every integer option, the command that takes it and the other arguments
+# that make a run with the option set to 3 exit 0
+INT_OPTIONS = [
+    (cmd, opt, base)
+    for cmd in ("det", "wiener", "gen-tree", "perm-table")
+    for opt, base in (("--random", []), ("--path", []), ("--star", []),
+                      ("--max-weight", ["--random", "4"]), ("--seed", ["--random", "4"]))
+] + [
+    ("verify", "--exhaustive", []),
+    ("verify", "--random", []),
+    ("verify", "--trials", []),
+    ("verify", "--n-max", ["--random", "2"]),
+    ("verify", "--max-weight", ["--random", "2"]),
+    ("verify", "--seed", ["--random", "2"]),
+    ("verify", "--weight", ["--exhaustive", "3"]),
+    ("perm-table", "--k-max", ["--path", "3"]),
+    ("enumerate", "--exhaustive", []),
+    ("enumerate", "--weight", ["--exhaustive", "3"]),
+]
+
+
+def test_int_options_cover_every_integer_option():
+    declared = {(name, p.opts[0]) for name, command in cli.main.commands.items()
+                for p in command.params if p.type.name.startswith("integer")}
+    assert declared == {(cmd, opt) for cmd, opt, _ in INT_OPTIONS}
+
+
+@pytest.mark.parametrize("cmd, opt, base", INT_OPTIONS,
+                         ids=[f"{cmd}{opt}" for cmd, opt, _ in INT_OPTIONS])
+def test_integer_options_take_ascii_digits_only(runner, cmd, opt, base):
+    # int() would read "0_3" and the Arabic-Indic digit three as 3
+    assert runner.invoke(cli.main, [cmd, *base, opt, "3"]).exit_code == 0
+    for token in ("0_3", "\u0663", "3.0", "x"):
+        result = runner.invoke(cli.main, [cmd, *base, opt, token])
+        assert result.exit_code == 2, (token, result.output)
+        assert opt in result.stderr and "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
 def test_gen_tree_unwritable_out_exits_2(runner, tmp_path):
     for out in (tmp_path / "missing" / "tree.txt", tmp_path):
         result = runner.invoke(cli.main, ["gen-tree", "--path", "3", "-o", str(out)])

@@ -143,12 +143,30 @@ def test_simple_tree_forms():
         assert cf.dq_star_simple(n) == cf.dq_star_closed([1] * (n - 1))
 
 
+class Index:
+    # an integer type other than int: operator.index accepts it
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_weight_validation():
     for fn in (cf.bkn_det, cf.bkn_det_xj, cf.dq_star_closed, cf.dq_closed):
         with pytest.raises(ValueError):
             fn([])
         with pytest.raises(ValueError):
             fn([1, 0])
+        # integers only: int() would read 1.7 as 1, "2" as 2 and True as 1
+        for weights in ([1.7], ["2"], [True, 2], [2, 1.0]):
+            with pytest.raises(ValueError):
+                fn(weights)
+        assert fn([Index(2), 3]) == fn([2, 3])
+    for args in ((1.7, 1, []), (1, True, []), (1, 1, ["2"]), (0, 1, [])):
+        with pytest.raises(ValueError):
+            cf.corner_minor_closed(*args)
+    assert cf.corner_minor_closed(Index(2), 3, [Index(1)]) == cf.corner_minor_closed(2, 3, [1])
 
 
 def test_formula_determinant_agreement():

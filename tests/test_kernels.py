@@ -331,8 +331,9 @@ def test_pure_bareiss_wide_coefficients_match_the_closed_form():
     assert pure.bareiss_det(rows) == want
 
 
-def test_pure_bareiss_widening_matches_cofactor():
-    # coefficients past 2^80 widen the packing far past the entries' own
+def test_pure_bareiss_wide_entries_match_cofactor():
+    # first rows with coefficients past 2^80: the Hadamard width grows with
+    # them, far past the other entries' own
     for n in range(2, 7):
         rows = scale_first_row(list(build_dq_star(random_tree(n, 4, n))), 2 ** 80)
         assert pure.bareiss_det(rows) == cofactor_det(rows), n

@@ -41,6 +41,10 @@ def test_permutation_validation():
         Permutation([1, 1, 3])
     with pytest.raises(ValueError):
         Permutation([0, 1])
+    # integers only, as the tree constructors take them
+    for images in ([1.0, "2"], [1.0, 2], [2, "1"], [True, 2]):
+        with pytest.raises(ValueError):
+            Permutation(images)
 
 
 def test_sign_examples():

@@ -1,4 +1,6 @@
-"""Polynomial ring: arithmetic, brackets, serialization."""
+"""Polynomial ring: arithmetic, brackets, serialization, the Kronecker codec."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,10 @@ from qdistmat.polyring import (
     NEG_INF,
     Poly,
     ZERO,
+    pack,
     qbracket,
     qpower,
+    unpack,
 )
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=12)
@@ -144,3 +148,56 @@ def test_telescoping():
 
 def test_bracket_eval_at_one():
     propcheck.check_bracket_eval()
+
+
+# -- the Kronecker codec -------------------------------------------------------
+
+
+def double_loop(a, b):
+    # the literal product, a route that does not go through pack and unpack
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@pytest.mark.parametrize("bits", [2, 3, 8, 64, 65])
+def test_pack_unpack_round_trip(bits):
+    rng = random.Random(bits)
+    half = 1 << (bits - 1)
+    assert pack([], bits) == 0 and unpack(0, bits) == []
+    for _ in range(300):
+        # canonical digit strings, with both ends of [-2^(bits-1), 2^(bits-1))
+        c = [rng.choice([-half, half - 1, 0, rng.randrange(-half, half)])
+             for _ in range(rng.randint(0, 6))]
+        while c and not c[-1]:
+            c.pop()
+        assert unpack(pack(c, bits), bits) == c, c
+    # every integer has one canonical digit string; 2^(bits-1) is no digit
+    assert unpack(half, bits) == [-half, 1]
+    for v in [half, -half, half - 1, -half - 1] + [rng.randint(-2 ** 300, 2 ** 300)
+                                                   for _ in range(100)]:
+        d = unpack(v, bits)
+        assert pack(d, bits) == v
+        assert all(-half <= x < half for x in d) and d[-1], (v, d)
+
+
+def test_mul_matches_the_double_loop():
+    rng = random.Random(20)
+
+    def coeffs():
+        bound = rng.choice([1, 60, 2 ** 64, 2 ** 200])
+        return [rng.randint(-bound, bound) for _ in range(rng.randint(0, 12))]
+
+    for _ in range(500):
+        a, b = Poly(coeffs()), Poly(coeffs())
+        assert (a * b).coeffs == double_loop(a.coeffs, b.coeffs), (a, b)
+    # every coefficient at the width's bound min(len) * max|a| * max|b|
+    for k, m in ((1, 1), (5, 7), (33, 2 ** 64 + 1)):
+        for a in ([m] * k, [-m] * k, [m, -m] * k):
+            for b in (a, [m] * (k + 3), [-m]):
+                assert (Poly(a) * Poly(b)).coeffs == double_loop(a, b), (a, b)
+    assert Poly([3, -1]) * ZERO == ZERO * Poly([3, -1]) == ZERO * ZERO == ZERO

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -33,36 +34,38 @@ def test_from_edges_valid():
     assert t.n == 2 and t.weights == (3,)
 
 
-@pytest.mark.parametrize(
-    "n,edges,code",
-    [
-        (3, [(1, 2, 1)], "edge-count"),
-        (3, [(1, 2, 1), (1, 2, 1)], "duplicate-edge"),
-        (3, [(1, 2, 1), (2, 1, 5)], "duplicate-edge"),
-        (3, [(1, 2, 1), (3, 3, 1)], "self-loop"),
-        (3, [(1, 2, 1), (2, 4, 1)], "label-range"),
-        (3, [(1, 2, 1), (2, 3, 0)], "bad-weight"),
-        (3, [(1, 2, 1), (2, 3, -2)], "bad-weight"),
-        (4, [(1, 2, 1), (2, 3, 1), (1, 3, 1)], "cycle"),
-        (4, [(1, 2, 1), (3, 4, 1), (1, 2, 2)], "duplicate-edge"),
-        # integers only: a bool, float or str is rejected, not coerced
-        (3, [(1, 2, 1.7), (2, 3, 1)], "format"),
-        (3, [(1, 2, 1), (2, 3, True)], "format"),
-        (3, [(1, 2, 1), ("2", 3, 1)], "format"),
-        (3, [(1, 2.0, 1), (2, 3, 1)], "format"),
-        (3.0, [(1, 2, 1), (2, 3, 1)], "format"),
-    ],
-)
+REJECTIONS = [
+    (3, [(1, 2, 1)], "edge-count"),
+    (3, [(1, 2, 1), (1, 2, 1)], "duplicate-edge"),
+    (3, [(1, 2, 1), (2, 1, 5)], "duplicate-edge"),
+    (3, [(1, 2, 1), (3, 3, 1)], "self-loop"),
+    (3, [(1, 2, 1), (2, 4, 1)], "label-range"),
+    (3, [(1, 2, 1), (2, 3, 0)], "bad-weight"),
+    (3, [(1, 2, 1), (2, 3, -2)], "bad-weight"),
+    (4, [(1, 2, 1), (2, 3, 1), (1, 3, 1)], "cycle"),
+    (4, [(1, 2, 1), (3, 4, 1), (1, 2, 2)], "duplicate-edge"),
+    # integers only: a bool, float or str is rejected, not coerced
+    (3, [(1, 2, 1.7), (2, 3, 1)], "format"),
+    (3, [(1, 2, 1), (2, 3, True)], "format"),
+    (3, [(1, 2, 1), ("2", 3, 1)], "format"),
+    (3, [(1, 2.0, 1), (2, 3, 1)], "format"),
+    (3.0, [(1, 2, 1), (2, 3, 1)], "format"),
+]
+
+
+@pytest.mark.parametrize("n,edges,code", REJECTIONS)
 def test_from_edges_rejections(n, edges, code):
     with pytest.raises(InvalidTreeError) as exc:
         from_edges(n, edges)
     assert exc.value.code == code
 
 
-def test_error_codes_are_distinct():
-    codes = {"edge-count", "duplicate-edge", "self-loop", "label-range",
-             "bad-weight", "cycle", "disconnected"}
-    assert len(codes) == 7
+def test_documented_error_codes_are_the_raised_ones():
+    # the codes the docstring lists, "a, b, ..., or z.", are exactly those
+    # that the rejection cases above raise
+    listed = re.search(r"violation: ([^.]*)\.", InvalidTreeError.__doc__).group(1)
+    documented = set(re.split(r",\s*(?:or\s+)?", " ".join(listed.split())))
+    assert documented == {code for _, _, code in REJECTIONS}
 
 
 def test_prufer_single_edge():
