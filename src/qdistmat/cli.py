@@ -22,7 +22,7 @@ import sys
 
 import click
 
-from . import permlab, wiener
+from . import closedforms, permlab, wiener
 from ._kernels import BACKEND
 from .identities import det_checks, identity_suite, suite_key
 from .polyring import Poly
@@ -418,8 +418,8 @@ def cmd_perm_table(t, k_max, fmt):
     n_table, m_table = permlab.perm_tables(t)
     dets = {c.name: c.determinant for c in det_checks(t)}
     tables = {
-        "N": (n_table, dets["Dq*"], permlab.n_closed_table(t.n) if simple else None),
-        "M": (m_table, dets["Dq"], permlab.m_closed_table(t.n) if simple else None),
+        "N": (n_table, dets["Dq*"], closedforms.dq_star_simple(t.n) if simple else None),
+        "M": (m_table, dets["Dq"], closedforms.dq_simple(t.n) if simple else None),
     }
     ok = True
     payload_tables = {}

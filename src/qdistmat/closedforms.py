@@ -6,6 +6,11 @@ against the corresponding exact determinant.  All arithmetic stays in the
 integer polynomial ring.  The bracket determinant det D_q is one sum over
 the edges, equal to the paper's sum over pairs of edges (see
 ``dq_closed``).
+
+This is the package's one module of closed forms.  ``dq_star_simple`` and
+``dq_simple`` are also the binomial N- and M-tables of a simple tree, which
+``perm-table`` prints next to the ``permlab`` sweep, and ``bkn_det`` is the
+constant term of ``bkn_det_xj``.
 """
 
 from __future__ import annotations
@@ -38,10 +43,16 @@ def _check_weights(weights: WeightMultiset) -> tuple[int, ...]:
     return ws
 
 
-def graham_pollak(n: int) -> int:
-    """Determinant of a simple tree's distance matrix: -(n-1)(-2)^(n-2)."""
+def _check_n(n: int) -> int:
+    n = as_int(n)
     if n < 2:
         raise ValueError("needs n >= 2")
+    return n
+
+
+def graham_pollak(n: int) -> int:
+    """Determinant of a simple tree's distance matrix: -(n-1)(-2)^(n-2)."""
+    n = _check_n(n)
     return -(n - 1) * (-2) ** (n - 2)
 
 
@@ -61,13 +72,11 @@ def bkn_det_xj(weights: WeightMultiset) -> Poly:
 
 
 def bkn_det(weights: WeightMultiset) -> int:
-    """det(D(T)): the constant term of the x-shifted determinant."""
-    ws = _check_weights(weights)
-    n = len(ws) + 1
-    prod = 1
-    for w in ws:
-        prod *= w
-    return (-1) ** (n - 1) * 2 ** (n - 2) * prod * sum(ws)
+    """det(D(T)) = (-1)^(n-1) 2^(n-2) (prod w) (sum w).
+
+    It is the constant term of ``bkn_det_xj``: D(T) + xJ at x = 0 is D(T).
+    """
+    return bkn_det_xj(weights).coeff(0)
 
 
 def dq_star_closed(weights: WeightMultiset) -> Poly:
@@ -123,14 +132,12 @@ def corner_minor_closed(w_first: int, w_last: int, w_rest: WeightMultiset) -> Po
 
 def dq_star_simple(n: int) -> Poly:
     """Simple-tree case of the monomial determinant: (1 - q^2)^(n-1)."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
+    n = _check_n(n)
     return (ONE - qpower(2)) ** (n - 1)
 
 
 def dq_simple(n: int) -> Poly:
     """Simple-tree case of the bracket determinant: (-1)^(n-1)(n-1)(1+q)^(n-2)."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
+    n = _check_n(n)
     base = _make((1, 1)) ** (n - 2)
     return (-1) ** (n - 1) * (n - 1) * base

@@ -9,12 +9,11 @@ from one sweep over all n! permutations and uses no determinant or matrix
 code, so it stays an independent check of the elimination route.  The
 compiled sweep reads M off N and one more signed histogram R, by the
 identity M = (-1)^n (N - R) / (1 - q)^n (``_kernels.pure.perm_tables``).
-For simple trees both tables also have binomial closed forms.
+On simple trees the tables are therefore ``closedforms.dq_star_simple``
+and ``dq_simple``; this module keeps no closed form of its own.
 """
 
 from __future__ import annotations
-
-import math
 
 from . import _kernels
 from .polyring import ONE, Poly, qbracket
@@ -26,10 +25,6 @@ __all__ = [
     "sign",
     "length_on_tree",
     "perm_tables",
-    "n_closed",
-    "m_closed",
-    "n_closed_table",
-    "m_closed_table",
     "phi_count_direct",
     "phi_count_poly",
 ]
@@ -102,33 +97,6 @@ def perm_tables(t: WeightedTree) -> tuple[Poly, Poly]:
         raise ValueError(f"permutation sweeps capped at n = {PERM_MAX_N} (n! cost)")
     n_coeffs, m_coeffs = _kernels.perm_tables(all_pairs_distances(t), t.n)
     return Poly(n_coeffs), Poly(m_coeffs)
-
-
-def n_closed(n: int, k: int) -> int:
-    """Closed form for simple trees: 0 for odd k, else (-1)^(k/2) C(n-1, k/2)."""
-    if n < 2 or k < 0:
-        raise ValueError("needs n >= 2 and k >= 0")
-    if k % 2:
-        return 0
-    half = k // 2
-    return (-1) ** half * math.comb(n - 1, half)
-
-
-def m_closed(n: int, k: int) -> int:
-    """Closed form for simple trees: (-1)^(n-1) (n-1) C(n-2, k)."""
-    if n < 2 or k < 0:
-        raise ValueError("needs n >= 2 and k >= 0")
-    return (-1) ** (n - 1) * (n - 1) * math.comb(n - 2, k)
-
-
-def n_closed_table(n: int) -> Poly:
-    """Closed-form N-table of a simple tree, supported on even k <= 2(n-1)."""
-    return Poly(n_closed(n, k) for k in range(2 * n - 1))
-
-
-def m_closed_table(n: int) -> Poly:
-    """Closed-form M-table of a simple tree, supported on k <= n-2."""
-    return Poly(m_closed(n, k) for k in range(n - 1))
 
 
 def _phi_bounds(p: Permutation, d: tuple) -> list[int]:

@@ -11,13 +11,14 @@ The bracket of a nonnegative integer a is the polynomial
 
 Products go through one Kronecker codec, ``pack`` at q = 2^b and
 ``unpack`` to signed base-2^b digits: ``Poly.__mul__``, the pure Bareiss
-kernel and ``qmatrix.tree_congruent`` each prove their own width b.
+kernel and ``qmatrix.tree_congruent`` each prove their own width b.  Both
+halves of the codec divide and conquer at power-of-two digit counts, so
+their cost grows as the packed length times its logarithm.
 """
 
 from __future__ import annotations
 
 import operator
-import re
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -184,81 +185,82 @@ class Poly:
         return "".join(parts)
 
     def __repr__(self) -> str:
-        return f'Poly("{self}")'
-
-    _TERM_RE = re.compile(
-        r"^(?:(?P<coeff>\d+)\s*\*?\s*)?"  # optional magnitude
-        r"(?:q(?:\^(?P<power>\d+))?)?$"  # optional q power
-    )
-
-    @classmethod
-    def from_string(cls, text: str) -> "Poly":
-        """Parse the textual form produced by str()."""
-        s = text.strip()
-        if not s:
-            raise ValueError("empty polynomial string")
-        if s == "0":
-            return ZERO
-        # split into signed terms
-        s = s.replace("-", "+-")
-        coeffs: dict[int, int] = {}
-        for pos, chunk in enumerate(s.split("+")):
-            chunk = chunk.strip()
-            if not chunk:
-                if pos == 0:  # leading minus sign
-                    continue
-                raise ValueError(f"dangling operator in polynomial {text!r}")
-            sign = 1
-            if chunk.startswith("-"):
-                sign = -1
-                chunk = chunk[1:].strip()
-            m = cls._TERM_RE.match(chunk)
-            if not m or (m.group("coeff") is None and "q" not in chunk):
-                raise ValueError(f"cannot parse polynomial term {chunk!r}")
-            mag = int(m.group("coeff")) if m.group("coeff") else 1
-            if "q" in chunk:
-                power = int(m.group("power")) if m.group("power") else 1
-            else:
-                power = 0
-            coeffs[power] = coeffs.get(power, 0) + sign * mag
-        if not coeffs:
-            raise ValueError(f"cannot parse polynomial {text!r}")
-        out = [0] * (max(coeffs) + 1)
-        for k, c in coeffs.items():
-            out[k] = c
-        return cls(out)
+        return f"Poly({list(self.coeffs)})"
 
     def json_coeffs(self) -> list[str]:
         """Coefficients as decimal strings, little-endian by degree."""
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json_coeffs(cls, items: Sequence[str]) -> "Poly":
-        return cls(int(s) for s in items)
+
+# Up to this many digits pack and unpack run the digit loop, whose every
+# shift copies the whole integer; above it they split in two.
+_LEAF_DIGITS = 32
 
 
 def pack(coeffs: Sequence[int], bits: int) -> int:
-    """``Poly.eval_int`` at q = 2^bits on a bare sequence, by shift-Horner."""
-    v = 0
-    for c in reversed(coeffs):
-        v = (v << bits) + c
-    return v
+    """``Poly.eval_int`` at q = 2^bits on a bare sequence.
+
+    Shift-Horner up to ``_LEAF_DIGITS`` digits; above, the low h digits
+    (h the largest power of two below the length) plus the rest shifted
+    by h*bits.
+    """
+    n = len(coeffs)
+    if n <= _LEAF_DIGITS:
+        v = 0
+        for c in reversed(coeffs):
+            v = (v << bits) + c
+        return v
+    h = 1 << ((n - 1).bit_length() - 1)
+    return pack(coeffs[:h], bits) + (pack(coeffs[h:], bits) << (h * bits))
 
 
 def unpack(v: int, bits: int) -> list[int]:
     """The signed base-2^bits digits of v, each in [-2^(bits-1), 2^(bits-1)).
 
-    Little-endian and canonical (0 gives []).  Needs bits >= 2 when v > 0:
-    the digits -1 and 0 of bits = 1 spell no positive v.
+    Little-endian and canonical (0 gives []).  Needs bits >= 2 when v > 0,
+    and raises ValueError otherwise: the digits -1 and 0 of bits = 1 spell
+    no positive v.
+
+    Above ``_LEAF_DIGITS`` digits: if v has N digits d_i, then for any
+    n >= N, u = v + sum_{i<n} 2^(bits-1) 2^(i bits) has the unsigned digits
+    d_i + 2^(bits-1), which ``_biased_digits`` reads by halves.  The n
+    below exceeds (bit_length(v) + 1) / bits, and N <= that + 1: for
+    bits >= 2 a nonzero top digit leaves |v| > 2^((N-1) bits) / 3, and for
+    bits = 1 (so v < 0) N is the bit length of v.
     """
+    if v > 0 and bits < 2:
+        raise ValueError(f"no base-2^{bits} signed digits spell {v} > 0")
     half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    out = []
-    while v:
-        d = ((v + half) & mask) - half
-        out.append(d)
-        v = (v - d) >> bits
+    if v.bit_length() <= _LEAF_DIGITS * bits:
+        mask = (1 << bits) - 1
+        out = []
+        while v:
+            d = ((v + half) & mask) - half
+            out.append(d)
+            v = (v - d) >> bits
+        return out
+    n, ones = 1, 1
+    while n * bits <= v.bit_length() + 1:
+        ones |= ones << (n * bits)
+        n *= 2
+    out = _biased_digits(v + half * ones, bits, n)
+    while not out[-1]:
+        out.pop()
     return out
+
+
+def _biased_digits(u: int, bits: int, n: int) -> list[int]:
+    # the n base-2^bits digits of u, less 2^(bits-1) each; n a power of two
+    if n <= _LEAF_DIGITS:
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
+        out = []
+        for _ in range(n):
+            out.append((u & mask) - half)
+            u >>= bits
+        return out
+    width = n // 2 * bits
+    return (_biased_digits(u & ((1 << width) - 1), bits, n // 2)
+            + _biased_digits(u >> width, bits, n // 2))
 
 
 def _coerce(value):

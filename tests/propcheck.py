@@ -1,6 +1,7 @@
 """Shared property checks: module tests and the acceptance suite both run
 these, so the counts stay pinned in one place."""
 
+import math
 import random
 
 from qdistmat.exactdet import det_bareiss, det_cofactor
@@ -97,6 +98,19 @@ def check_phi_dual_oracles(seed=505, trials=200):
         assert poly.coeff(k) == phi_count_direct(p, d, k), (t.edges, p, k)
 
 
+def binomial_tables(n):
+    """The paper's N- and M-tables of a simple tree on n vertices, term by term:
+
+    N_{n,k} = (-1)^(k/2) C(n-1, k/2) for even k and 0 for odd k, and
+    M_{n,k} = (-1)^(n-1) (n-1) C(n-2, k).  This is the route independent of
+    both the permutation sweep and ``closedforms``.
+    """
+    n_table = Poly(0 if k % 2 else (-1) ** (k // 2) * math.comb(n - 1, k // 2)
+                   for k in range(2 * n - 1))
+    m_table = Poly((-1) ** (n - 1) * (n - 1) * math.comb(n - 2, k) for k in range(n - 1))
+    return n_table, m_table
+
+
 ALL_CHECKS = [
     check_ring_axioms,
     check_bracket_recurrence,
@@ -107,3 +121,4 @@ ALL_CHECKS = [
     check_prufer_bijectivity,
     check_phi_dual_oracles,
 ]
+

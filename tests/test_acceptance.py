@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 import propcheck
+from propcheck import binomial_tables
 from qdistmat import closedforms as cf
 from qdistmat import permlab
 from qdistmat.exactdet import check_dodgson_identity, det_bareiss
@@ -135,23 +136,27 @@ def test_criterion_07_recurrence_and_corner_minor():
 def test_criterion_08_n_table_closed_form():
     with criterion(8, "signed length histogram matches binomial form, n <= 6 + n = 7,8"):
         for t in all_unit_trees():
-            assert permlab.perm_tables(t)[0] == permlab.n_closed_table(t.n), t.edges
+            assert permlab.perm_tables(t)[0] == binomial_tables(t.n)[0], t.edges
         rng = random.Random(CORPUS_SEED + 8)
         for n in (7, 8):
             for _ in range(10):
                 t = random_tree(n, 1, rng.getrandbits(63))
-                assert permlab.perm_tables(t)[0] == permlab.n_closed_table(n), t.edges
+                assert permlab.perm_tables(t)[0] == binomial_tables(n)[0], t.edges
+        for n in range(2, permlab.PERM_MAX_N + 1):
+            assert cf.dq_star_simple(n) == binomial_tables(n)[0], n
 
 
 def test_criterion_09_m_table_closed_form_and_determinant():
     with criterion(9, "signed composition counts match binomial form and determinant"):
         for t in all_unit_trees():
-            assert permlab.perm_tables(t)[1] == permlab.m_closed_table(t.n), t.edges
+            assert permlab.perm_tables(t)[1] == binomial_tables(t.n)[1], t.edges
         rng = random.Random(CORPUS_SEED + 9)
         for n in (7, 8):
             for _ in range(10):
                 t = random_tree(n, 1, rng.getrandbits(63))
-                assert permlab.perm_tables(t)[1] == permlab.m_closed_table(n), t.edges
+                assert permlab.perm_tables(t)[1] == binomial_tables(n)[1], t.edges
+        for n in range(2, permlab.PERM_MAX_N + 1):
+            assert cf.dq_simple(n) == binomial_tables(n)[1], n
         for _ in range(30):
             t = random_tree(rng.randint(2, 7), 4, rng.getrandbits(63))
             assert permlab.perm_tables(t)[1] == det_bareiss(build_dq(t)), t.edges

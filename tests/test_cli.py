@@ -519,9 +519,9 @@ def test_perm_table_k_max(runner):
 
 
 def test_perm_table_k_max_limits_rows_not_the_verdict(runner, monkeypatch):
-    real = permlab.n_closed_table
+    real = closedforms.dq_star_simple
     # a wrong closed-form coefficient at k = 2n - 2, far above --k-max 0
-    monkeypatch.setattr(permlab, "n_closed_table",
+    monkeypatch.setattr(closedforms, "dq_star_simple",
                         lambda n: real(n) + Poly([0] * (2 * n - 2) + [5]))
     for extra in ([], ["--k-max", "0"]):
         result = runner.invoke(cli.main, ["perm-table", "--path", "4", *extra])

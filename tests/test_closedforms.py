@@ -143,6 +143,15 @@ def test_simple_tree_forms():
         assert cf.dq_star_simple(n) == cf.dq_star_closed([1] * (n - 1))
 
 
+def test_vertex_count_validation():
+    for fn in (cf.graham_pollak, cf.dq_simple, cf.dq_star_simple):
+        # integers only, as for the weights: 4.0, True and "4" are no vertex counts
+        for n in (4.0, True, "4", 1, 0):
+            with pytest.raises(ValueError):
+                fn(n)
+        assert fn(Index(4)) == fn(4)
+
+
 class Index:
     # an integer type other than int: operator.index accepts it
     def __init__(self, value):
@@ -178,6 +187,7 @@ def test_formula_determinant_agreement():
         assert det_bareiss(build_dq(t)) == cf.dq_closed(ws)
         assert det_bareiss(build_d(t)) == Poly([cf.bkn_det(ws)])
         assert det_bareiss(build_d_plus_xJ(t)) == cf.bkn_det_xj(ws)
+        assert cf.bkn_det(ws) == cf.bkn_det_xj(ws).coeff(0)  # det D is det(D + xJ) at x = 0
         count += 1
     assert count == 100
 

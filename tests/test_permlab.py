@@ -8,16 +8,13 @@ from pathlib import Path
 import pytest
 
 import propcheck
+from propcheck import binomial_tables
 from qdistmat import closedforms, permlab
 from qdistmat._kernels import pure
 from qdistmat.exactdet import det_bareiss
 from qdistmat.permlab import (
     Permutation,
     length_on_tree,
-    m_closed,
-    m_closed_table,
-    n_closed,
-    n_closed_table,
     perm_tables,
     phi_count_direct,
     phi_count_poly,
@@ -93,11 +90,12 @@ def test_n_table_sums_to_zero():
 
 
 def test_n_closed_examples():
-    assert n_closed(3, 2) == -2
-    assert n_closed(5, 3) == 0
-    assert n_closed(4, 6) == -1
-    assert n_closed(4, 8) == 0
-    assert n_closed_table(3) == Poly([1, 0, -2, 0, 1])
+    # the binomial N-table the sweep and closedforms are checked against
+    assert binomial_tables(3)[0].coeff(2) == -2
+    assert binomial_tables(5)[0].coeff(3) == 0
+    assert binomial_tables(4)[0].coeff(6) == -1
+    assert binomial_tables(4)[0].coeff(8) == 0
+    assert binomial_tables(3)[0] == Poly([1, 0, -2, 0, 1])
 
 
 def test_phi_count_fixed_point():
@@ -162,24 +160,23 @@ def test_m_table_matches_determinant_weighted():
 
 
 def test_m_closed_examples():
-    assert m_closed(3, 1) == 2
-    assert m_closed(4, 1) == -6
-    assert m_closed(2, 0) == -1
-    assert m_closed_table(4) == Poly([-3, -6, -3])
+    assert binomial_tables(3)[1].coeff(1) == 2
+    assert binomial_tables(4)[1].coeff(1) == -6
+    assert binomial_tables(2)[1].coeff(0) == -1
+    assert binomial_tables(4)[1] == Poly([-3, -6, -3])
 
 
 def test_closed_tables_match_product_forms():
     # binomial coefficients on one side, (1 - q^2)^(n-1) and (1 + q)^(n-2) on the other
     for n in range(2, 13):
-        assert n_closed_table(n) == closedforms.dq_star_simple(n), n
-        assert m_closed_table(n) == closedforms.dq_simple(n), n
+        assert binomial_tables(n) == (closedforms.dq_star_simple(n), closedforms.dq_simple(n)), n
 
 
 def test_closed_forms_match_oracles_exhaustive_small():
     for n in range(2, 6):
-        nc, mc = n_closed_table(n), m_closed_table(n)
+        tables = binomial_tables(n)
         for t in enumerate_trees(n):
-            assert perm_tables(t) == (nc, mc), t.edges
+            assert perm_tables(t) == tables, t.edges
 
 
 def test_closed_forms_match_oracles_random_78():
@@ -187,13 +184,13 @@ def test_closed_forms_match_oracles_random_78():
     for i in range(50):
         n = 7 + (i % 2)
         t = random_tree(n, 1, rng.getrandbits(63))
-        assert perm_tables(t) == (n_closed_table(n), m_closed_table(n)), t.edges
+        assert perm_tables(t) == binomial_tables(n), t.edges
 
 
 def test_closed_forms_at_perm_cap():
     # the largest supported sweep: 362880 permutations
     t = random_tree(permlab.PERM_MAX_N, 1, seed=90)
-    assert perm_tables(t) == (n_closed_table(t.n), m_closed_table(t.n))
+    assert perm_tables(t) == binomial_tables(t.n)
 
 
 def test_n_odd_vanishes_simple():

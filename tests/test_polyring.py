@@ -16,6 +16,7 @@ from qdistmat.polyring import (
     qpower,
     unpack,
 )
+from qdistmat.polyring import _LEAF_DIGITS
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=12)
 polys = coeff_lists.map(Poly)
@@ -106,20 +107,19 @@ def test_str_forms():
 
 @settings(max_examples=200, deadline=None)
 @given(polys)
-def test_str_round_trip(p):
-    assert Poly.from_string(str(p)) == p
+def test_repr_round_trip(p):
+    assert eval(repr(p)) == p
+
+
+def test_repr_is_the_constructor_call():
+    assert repr(Poly([1, 1])) == "Poly([1, 1])"
+    assert repr(ZERO) == "Poly([])"
 
 
 @settings(max_examples=100, deadline=None)
 @given(polys)
 def test_json_round_trip(p):
-    assert Poly.from_json_coeffs(p.json_coeffs()) == p
-
-
-def test_from_string_rejects_garbage():
-    for bad in ["", "q +", "2**q", "x^2", "1 + figs"]:
-        with pytest.raises(ValueError):
-            Poly.from_string(bad)
+    assert Poly(int(s) for s in p.json_coeffs()) == p
 
 
 @settings(max_examples=100, deadline=None)
@@ -185,6 +185,33 @@ def test_pack_unpack_round_trip(bits):
         assert all(-half <= x < half for x in d) and d[-1], (v, d)
 
 
+def test_pack_unpack_across_the_split():
+    # lengths on both sides of the leaf and of its doublings, with the top and
+    # bottom digits of every width
+    rng = random.Random(21)
+    leaf = _LEAF_DIGITS
+    for bits in range(2, 81):
+        half = 1 << (bits - 1)
+        assert pack([], bits) == 0 and unpack(0, bits) == []
+        for n in (leaf - 1, leaf, leaf + 1, 2 * leaf, 2 * leaf + 1, 4 * leaf + 3,
+                  rng.randint(1, 10 * leaf)):
+            c = [rng.choice([-half, half - 1, 0, rng.randrange(-half, half)])
+                 for _ in range(n - 1)] + [rng.choice([-half, half - 1])]
+            v = pack(c, bits)
+            assert v == Poly(c).eval_int(1 << bits), (bits, n)
+            assert unpack(v, bits) == c, (bits, n)
+
+
+def test_unpack_needs_two_bits_for_positive_values():
+    # width-1 digits are -1 and 0: they spell every v <= 0 and no v > 0
+    for v in (5, 1, 1 << 200):
+        with pytest.raises(ValueError):
+            unpack(v, 1)
+    assert unpack(-5, 1) == [-1, 0, -1]
+    v = -(1 << 300) + 12345
+    assert pack(unpack(v, 1), 1) == v
+
+
 def test_mul_matches_the_double_loop():
     rng = random.Random(20)
 
@@ -201,3 +228,9 @@ def test_mul_matches_the_double_loop():
             for b in (a, [m] * (k + 3), [-m]):
                 assert (Poly(a) * Poly(b)).coeffs == double_loop(a, b), (a, b)
     assert Poly([3, -1]) * ZERO == ZERO * Poly([3, -1]) == ZERO * ZERO == ZERO
+    # operands long enough that pack and unpack split
+    for la, lb in ((3 * _LEAF_DIGITS, 2 * _LEAF_DIGITS + 1), (5 * _LEAF_DIGITS, 2)):
+        a = [rng.randint(-2 ** 90, 2 ** 90) for _ in range(la)]
+        b = [rng.randint(-2 ** 90, 2 ** 90) for _ in range(lb)]
+        assert (Poly(a) * Poly(b)).coeffs == double_loop(a, b), (la, lb)
+        assert Poly(a) * ZERO == ZERO * Poly(a) == ZERO
