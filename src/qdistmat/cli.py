@@ -42,6 +42,8 @@ from .treekit import (
 )
 
 DEFAULT_EXHAUSTIVE_CAP = 7
+# whole `verify --exhaustive 8` processes, quoted by --allow-n8 and its warning
+N8_SWEEP_TIME = "about 22 s compiled and 50 s pure on a 2-core machine with Python 3.11"
 # Matrix entries, the Wiener polynomial and the determinants are dense
 # polynomials whose degrees grow with the total edge weight; far above this
 # cap, building them exhausts memory.
@@ -333,8 +335,7 @@ def _run_verify_corpus(trees, check_structure_independence):
 @click.option("--weight", type=INTEGER, default=1, show_default=True,
               help="Uniform edge weight for --exhaustive.")
 @click.option("--allow-n8", is_flag=True,
-              help="Raise the exhaustive cap from 7 to 8 (262144 trees, about "
-                   "30 s compiled and 57 s pure on a 2-core machine).")
+              help=f"Raise the exhaustive cap from 7 to 8 (262144 trees, {N8_SWEEP_TIME}).")
 @output_option
 def cmd_verify(tree_file, exhaustive_n, trials, trials_alias, n_max, max_weight,
                seed, weight, allow_n8, fmt):
@@ -354,9 +355,8 @@ def cmd_verify(tree_file, exhaustive_n, trials, trials_alias, n_max, max_weight,
     elif exhaustive_n is not None:
         _check_exhaustive_cap(exhaustive_n, allow_n8)
         if exhaustive_n == MAX_EXHAUSTIVE_N:
-            _echo("warning: exhaustive n=8 sweeps 262144 trees; expect about "
-                  "30 s with the compiled kernels and 57 s without (2-core "
-                  "machine, Python 3.11)", err=True)
+            _echo(f"warning: exhaustive n=8 sweeps 262144 trees; expect {N8_SWEEP_TIME}",
+                  err=True)
         trees = _make_trees(enumerate_trees, exhaustive_n, weight)
         mode = {"mode": "exhaustive", "n": exhaustive_n, "weight": weight}
     else:
@@ -435,7 +435,7 @@ def cmd_perm_table(t, k_max, fmt):
         payload_tables[kind] = {
             "oracle": _table_json(kind, t.n, oracle, "oracle"),
             "determinant": _table_json(kind, t.n, fromdet, "determinant"),
-            "closed": ({str(k): c for k, c in enumerate(closed.coeffs[:top + 1]) if c}
+            "closed": ({str(k): c for k, c in enumerate(closed.coeffs) if c}
                        if closed is not None else None),
             "oracle_vs_determinant": det_ok,
             "oracle_vs_closed": closed_ok,

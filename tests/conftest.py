@@ -30,9 +30,10 @@ def speedups(tmp_path_factory):
     """``qdistmat._kernels._speedups`` compiled from the checked-in C source.
 
     It is built with ``setup.py build_ext`` into a temporary directory, so
-    the checkout is left as it was, and with ``-Wall -Werror``, so a
-    compiler warning fails the build.  Skips only when there is no compiler
-    or no ``Python.h``; any other build failure fails the test.
+    the checkout is left as it was, and with ``-Wall -Wextra -Werror``, so
+    a compiler warning, such as an unused parameter or static helper,
+    fails the build.  Skips only when there is no compiler or no
+    ``Python.h``; any other build failure fails the test.
     """
     blocker = _build_blocker()
     if blocker:
@@ -42,7 +43,7 @@ def speedups(tmp_path_factory):
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out), "--build-temp", str(out / "temp")],
         cwd=ROOT, capture_output=True, text=True,
-        env={**os.environ, "CFLAGS": f"{os.environ.get('CFLAGS', '')} -Wall -Werror"},
+        env={**os.environ, "CFLAGS": f"{os.environ.get('CFLAGS', '')} -Wall -Wextra -Werror"},
     )
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     path = out / "qdistmat" / "_kernels" / f"_speedups{suffix}"

@@ -506,8 +506,9 @@ def test_perm_table_json_schema(runner, args):
             assert all(table[source]["coeffs"].values())  # zero coefficients left out
         assert (table["closed"] is None) == weighted
         assert (table["oracle_vs_closed"] is None) == weighted
-        if "--k-max" in args:
-            assert max(map(int, table["closed"])) <= 1 < max(map(int, table["oracle"]["coeffs"]))
+        if "--k-max" in args:  # it limits the rows shown, not the JSON tables
+            assert table["closed"] == table["oracle"]["coeffs"]
+            assert max(map(int, table["closed"])) > 1
 
 
 def test_perm_table_k_max(runner):
@@ -527,6 +528,13 @@ def test_perm_table_k_max_limits_rows_not_the_verdict(runner, monkeypatch):
         result = runner.invoke(cli.main, ["perm-table", "--path", "4", *extra])
         assert result.exit_code == 1, extra
         assert "agreement(N): determinant PASS, closed FAIL" in result.output
+        # the JSON document shows the coefficient that differs
+        result = runner.invoke(cli.main, ["perm-table", "--path", "4", *extra,
+                                          "--output", "json"])
+        assert result.exit_code == 1, extra
+        table = json.loads(result.stdout)["tables"]["N"]
+        assert table["oracle_vs_closed"] is False
+        assert table["closed"]["6"] == table["oracle"]["coeffs"].get("6", 0) + 5
 
 
 def test_perm_table_rejects_negative_k_max(runner):

@@ -11,7 +11,7 @@ from qdistmat.exactdet import (
     det_bareiss,
     det_cofactor,
 )
-from qdistmat import _kernels, closedforms
+from qdistmat import _kernels, closedforms, exactdet
 from qdistmat.polyring import Poly, qbracket
 from qdistmat.qmatrix import (
     build_d,
@@ -47,6 +47,7 @@ def test_bareiss_order_one():
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])
 def test_bareiss_rejects_empty_and_ragged_matrices(monkeypatch, request, compiled):
+    # whichever backend is active: the elimination has one route
     kernels = request.getfixturevalue("speedups") if compiled else None
     monkeypatch.setattr(_kernels, "_speedups", kernels)
     for m in ((), (((1,),), ((1,), (2,)))):
@@ -55,13 +56,14 @@ def test_bareiss_rejects_empty_and_ragged_matrices(monkeypatch, request, compile
 
 
 def test_bareiss_hands_the_kernel_the_stored_rows(monkeypatch):
+    # the elimination reads the rows as stored, with no copy or conversion
     seen = []
 
     def kernel(rows):
         seen.append(rows)
         return [7]
 
-    monkeypatch.setattr(_kernels, "bareiss_det", kernel)
+    monkeypatch.setattr(exactdet, "bareiss_det", kernel)
     m = build_dq(random_tree(5, 3, 2))
     assert det_bareiss(m) == Poly([7])
     assert seen == [m] and seen[0] is m
@@ -155,8 +157,7 @@ def test_dodgson_identity_on_every_pair():
 
 
 def test_bareiss_big_coefficients_fall_back_exactly():
-    # entries far beyond 64 bits exercise the pure path through the
-    # same public function
+    # entries far beyond 64 bits: the packing width grows with them
     big = 10 ** 30
     m = ints([[big, big - 1, 3], [big + 2, big, 5], [1, 2, big]])
     got = det_bareiss(m)

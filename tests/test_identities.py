@@ -2,7 +2,7 @@
 
 import pytest
 
-from qdistmat import _kernels, closedforms, identities
+from qdistmat import closedforms, exactdet, identities
 from qdistmat.exactdet import det_bareiss
 from qdistmat.polyring import qbracket
 from qdistmat.qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star, minor
@@ -65,14 +65,14 @@ def test_a_wrong_closed_form_fails_its_check(monkeypatch, name, check):
 
 def test_each_matrix_and_determinant_once(monkeypatch):
     calls = {"dets": 0, "builds": 0}
-    real_det = _kernels.bareiss_det
+    real_det = exactdet.bareiss_det
 
     def counted_det(rows):
         calls["dets"] += 1
         return real_det(rows)
 
-    # the kernel binding, so that determinants inside exactdet count too
-    monkeypatch.setattr(_kernels, "bareiss_det", counted_det)
+    # the elimination itself, so that the determinants of minors count too
+    monkeypatch.setattr(exactdet, "bareiss_det", counted_det)
     for name in BUILDERS:
         def counted_build(tree, real=getattr(identities, name)):
             calls["builds"] += 1

@@ -1,5 +1,6 @@
-"""Kernels: backend parity, the dispatcher, and the pure Bareiss kernel
-against independent routes.
+"""Kernels: the permutation sweep's backend parity and dispatch, and the
+one Bareiss elimination (``exactdet.bareiss_det``) against independent
+routes.
 
 The compiled tests take the ``speedups`` fixture (``conftest.py``), which
 builds the extension from source once per test run.
@@ -13,9 +14,9 @@ from itertools import permutations
 
 import pytest
 
-from qdistmat import _kernels, closedforms
+from qdistmat import _kernels, closedforms, exactdet
 from qdistmat._kernels import BACKEND, pure
-from qdistmat.exactdet import det_cofactor
+from qdistmat.exactdet import bareiss_det, det_cofactor
 from qdistmat.identities import identity_suite
 from qdistmat.polyring import Poly
 from qdistmat.qmatrix import build_d, build_dq, build_dq_star
@@ -23,14 +24,14 @@ from qdistmat.treekit import (
     all_pairs_distances, from_edges, path_tree, random_tree, star_tree,
 )
 
-COMPILED = ("bareiss_det", "perm_tables")
+COMPILED = ("perm_tables",)
 
 
 def canon(items):
     out = list(items)
     while out and out[-1] == 0:
         out.pop()
-    return out
+    return tuple(out)
 
 
 def random_coeffs(rng, max_len=8, bound=60):
@@ -46,35 +47,6 @@ def test_compiled_module_exports_the_dispatched_kernels(speedups):
     dispatched = {name for name in _kernels.__all__
                   if getattr(getattr(_kernels, name), "__module__", None) == _kernels.__name__}
     assert exported == dispatched == set(COMPILED)
-
-
-def test_bareiss_parity(speedups):
-    rng = random.Random(3)
-    for _ in range(400):
-        n = rng.randint(1, 6)
-        rows = [[random_coeffs(rng, 3, 9) for _ in range(n)] for _ in range(n)]
-        assert speedups.bareiss_det(rows) == pure.bareiss_det(rows)
-
-
-def test_bareiss_overflow_falls_back(speedups):
-    big = 10 ** 25
-    rows = [[[big], [1]], [[1], [big]]]
-    assert speedups.bareiss_det(rows) is None
-    assert pure.bareiss_det(rows) == [big * big - 1]
-
-
-def test_bareiss_unnegatable_determinant_falls_back(speedups):
-    # a column swap negates a final pivot of -2^63, which has no 64-bit negation
-    rows = [[[0], [-2 ** 62]], [[2], [5]]]
-    assert speedups.bareiss_det(rows) is None
-    assert pure.bareiss_det(rows) == [2 ** 63]
-
-
-def test_bareiss_rejects_bad_shapes(speedups):
-    with pytest.raises(ValueError):
-        speedups.bareiss_det([])
-    with pytest.raises(ValueError):
-        speedups.bareiss_det([[[1]], [[1], [2]]])
 
 
 def test_perm_tables_parity(speedups):
@@ -143,21 +115,26 @@ def test_dispatcher_compiled_matches_pure(monkeypatch, speedups, t):
 
 
 def test_dispatcher_falls_back_to_pure(monkeypatch, speedups):
+    # a table past the C kernel's span cap: the pure kernel's answer would
+    # be a histogram of 2 * 10^9 entries, so a stand-in records the call
     monkeypatch.setattr(_kernels, "_speedups", speedups)
-    big = 10 ** 25
-    rows = [[[big], [1]], [[1], [big]]]
-    assert speedups.bareiss_det(rows) is None
-    assert _kernels.bareiss_det(rows) == pure.bareiss_det(rows) == [big * big - 1]
+    table = [[0, 10 ** 9], [10 ** 9, 0]]
+    calls = []
+    monkeypatch.setattr(pure, "perm_tables",
+                        lambda dist, n: calls.append((dist, n)) or ([1], [-1]))
+    assert speedups.perm_tables(table, 2) is None
+    assert _kernels.perm_tables(table, 2) == ([1], [-1])
+    assert calls == [(table, 2)]
 
 
 def test_pure_bareiss_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        pure.bareiss_det([])
+        bareiss_det([])
     with pytest.raises(ValueError):
-        pure.bareiss_det([[[1]], [[1], [2]]])
+        bareiss_det([[(1,)], [(1,), (2,)]])
 
 
-# -- pure bareiss_det: Kronecker substitution against independent routes ----
+# -- bareiss_det: Kronecker substitution against independent routes ---------
 
 
 def cofactor_det(rows):
@@ -170,7 +147,7 @@ def test_pure_bareiss_matches_cofactor():
         n = rng.randint(1, 6)
         rows = [[canon(rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(0, 11)))
                  for _ in range(n)] for _ in range(n)]
-        assert pure.bareiss_det(rows) == cofactor_det(rows), rows
+        assert bareiss_det(rows) == cofactor_det(rows), rows
 
 
 def sylvester(order):
@@ -205,15 +182,15 @@ def test_pure_bareiss_at_hadamard_bound(order):
     h = sylvester(order)
     want = fraction_det(h)
     assert abs(want) == order ** (order // 2)
-    assert pure.bareiss_det([[[x] for x in row] for row in h]) == [want]
+    assert bareiss_det([[(x,) for x in row] for row in h]) == [want]
     # +-q^(r_i + c_j) scales det by q^(sum r + sum c), coefficient unchanged
     rng = random.Random(order)
     r = [rng.randint(0, 3) for _ in range(order)]
     c = [rng.randint(0, 3) for _ in range(order)]
-    rows = [[[0] * (r[i] + c[j]) + [h[i][j]] for j in range(order)] for i in range(order)]
-    assert pure.bareiss_det(rows) == [0] * (sum(r) + sum(c)) + [want]
+    rows = [[(0,) * (r[i] + c[j]) + (h[i][j],) for j in range(order)] for i in range(order)]
+    assert bareiss_det(rows) == [0] * (sum(r) + sum(c)) + [want]
     if order <= 6:
-        assert pure.bareiss_det(rows) == cofactor_det(rows)
+        assert bareiss_det(rows) == cofactor_det(rows)
 
 
 @pytest.mark.parametrize("rows, det", [
@@ -224,13 +201,18 @@ def test_pure_bareiss_at_hadamard_bound(order):
     ([[[]]], []),
     ([[[], [1, 1]], [[2], [0, 3]]], [-2, -2]),  # zero diagonal: the first pivot is in row 2
     ([[[], [1], [2]], [[1], [], [1]], [[2], [1], []]], [4]),
+    # distinct entries of equal l1 norm: a packing memo keyed on anything
+    # but the entry itself would give them one packed value
+    ([[[1, 2], [2, 1]], [[2, 1], [1, 2]]], [-3, 0, 3]),
+    ([[[], [1, 2], [2, 1]], [[2, 1], [], [0, 3]], [[0, 3], [1, 2], []]], [4, 12, 18, 20]),
 ])
 def test_pure_bareiss_edge_cases(rows, det):
-    assert pure.bareiss_det(rows) == det
+    rows = [[tuple(e) for e in row] for row in rows]
+    assert bareiss_det(rows) == det
     assert cofactor_det(rows) == det
 
 
-# -- pure _int_det: pivoting on the entry of least bit length ---------------
+# -- _int_det: pivoting on the entry of least bit length --------------------
 
 
 def perm_sign(p):
@@ -265,7 +247,7 @@ def int_matrices(rng):
 
 def test_int_det_matches_fraction_det():
     for kind, m in int_matrices(random.Random(10)):
-        assert pure._int_det([row[:] for row in m]) == fraction_det(m), (kind, m)
+        assert exactdet._int_det([row[:] for row in m]) == fraction_det(m), (kind, m)
 
 
 def test_int_det_under_row_and_column_permutations():
@@ -276,10 +258,10 @@ def test_int_det_under_row_and_column_permutations():
     for p in permutations(range(4)):
         for q in permutations(range(4)):
             pmq = [[m[p[i]][q[j]] for j in range(4)] for i in range(4)]
-            assert pure._int_det(pmq) == perm_sign(p) * perm_sign(q) * det, (p, q)
+            assert exactdet._int_det(pmq) == perm_sign(p) * perm_sign(q) * det, (p, q)
 
 
-# -- pure bareiss_det: raw tree matrices and wide coefficients ---------------
+# -- bareiss_det: raw tree matrices and wide coefficients -------------------
 
 
 @pytest.mark.parametrize("n", range(20, 25))
@@ -295,11 +277,11 @@ def test_pure_bareiss_independent_of_vertex_order(n):
         rows = build(t)
         conj = [[rows[i][j] for j in order] for i in order]
         want = list(closed(t.weights).coeffs)
-        assert pure.bareiss_det(rows) == pure.bareiss_det(conj) == want, build.__name__
+        assert bareiss_det(rows) == bareiss_det(conj) == want, build.__name__
 
 
 def scale_first_row(rows, factor):
-    return [[[c * factor for c in e] for e in rows[0]]] + rows[1:]
+    return [[tuple(c * factor for c in e) for e in rows[0]]] + rows[1:]
 
 
 def hadamard_sq(rows):
@@ -312,14 +294,14 @@ def test_pure_bareiss_takes_constant_matrices_in_one_elimination(monkeypatch):
     t = random_tree(24, 4, 0)
     calls = Counter()
 
-    def int_det(m, real=pure._int_det):
+    def int_det(m, real=exactdet._int_det):
         calls["_int_det"] += 1
         return real(m)
 
-    monkeypatch.setattr(pure, "_int_det", int_det)
+    monkeypatch.setattr(exactdet, "_int_det", int_det)
     rows = build_d(t)
     assert (hadamard_sq(rows).bit_length() + 1) // 2 + 2 > 64
-    assert pure.bareiss_det(rows) == [closedforms.bkn_det(t.weights)]
+    assert bareiss_det(rows) == [closedforms.bkn_det(t.weights)]
     assert calls == {"_int_det": 1}
 
 
@@ -328,7 +310,7 @@ def test_pure_bareiss_wide_coefficients_match_the_closed_form():
     t = random_tree(22, 4, 5)
     rows = scale_first_row(list(build_dq_star(t)), 2 ** 80)
     want = [2 ** 80 * c for c in closedforms.dq_star_closed(t.weights).coeffs]
-    assert pure.bareiss_det(rows) == want
+    assert bareiss_det(rows) == want
 
 
 def test_pure_bareiss_wide_entries_match_cofactor():
@@ -336,11 +318,11 @@ def test_pure_bareiss_wide_entries_match_cofactor():
     # them, far past the other entries' own
     for n in range(2, 7):
         rows = scale_first_row(list(build_dq_star(random_tree(n, 4, n))), 2 ** 80)
-        assert pure.bareiss_det(rows) == cofactor_det(rows), n
+        assert bareiss_det(rows) == cofactor_det(rows), n
     rng = random.Random(9)
     for _ in range(60):
         n = rng.randint(1, 6)
         rows = [[random_coeffs(rng, 4, 30) for _ in range(n)] for _ in range(n)]
         # a first row with coefficients of 2^80, divisible by q - 1
-        rows[0] = [list((Poly(e) * Poly([-2 ** 80, 2 ** 80])).coeffs) for e in rows[0]]
-        assert pure.bareiss_det(rows) == cofactor_det(rows), rows
+        rows[0] = [(Poly(e) * Poly([-2 ** 80, 2 ** 80])).coeffs for e in rows[0]]
+        assert bareiss_det(rows) == cofactor_det(rows), rows

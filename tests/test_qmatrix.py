@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qdistmat import _kernels, closedforms
+from qdistmat import closedforms, exactdet
 from qdistmat.exactdet import det_bareiss, det_cofactor
 from qdistmat.identities import det_checks
 from qdistmat.polyring import Poly, qbracket, qpower
@@ -248,10 +248,10 @@ def test_det_checks_hand_the_kernel_narrow_q_matrices(monkeypatch):
     assert hadamard_width(build_dq(t)) > 64
     widths = []
 
-    def bareiss_det(rows, real=_kernels.bareiss_det):
+    def bareiss_det(rows, real=exactdet.bareiss_det):
         widths.append(hadamard_width(rows))
         return real(rows)
 
-    monkeypatch.setattr(_kernels, "bareiss_det", bareiss_det)
+    monkeypatch.setattr(exactdet, "bareiss_det", bareiss_det)
     assert all(c.passed for c in det_checks(t))
     assert len(widths) == 4 and max(widths[2:]) <= 64, widths
