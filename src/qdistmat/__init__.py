@@ -6,7 +6,7 @@ checks them against closed-form products and brute-force signed
 permutation statistics.
 """
 
-from ._kernels import BACKEND as kernel_backend
+from .permlab import BACKEND as kernel_backend
 from .polyring import Poly, qbracket, qpower
 from .treekit import (
     InvalidTreeError,

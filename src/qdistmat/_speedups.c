@@ -1,20 +1,20 @@
-/* The compiled permutation sweep: perm_tables of qdistmat._kernels.pure
-   in 64-bit words.
+/* qdistmat._speedups: the permutation sweep of permlab in 64-bit words.
 
-   It sweeps the n! permutations once and reads both tables off two
-   signed integer histograms, with no polynomial products (see its
-   comment).  It returns None whenever the computation cannot be completed
-   safely in machine words (a value that does not fit in 64 bits, a
-   histogram past MAX_SPAN, or an arithmetic step that would wrap); the
-   caller then runs the pure kernel, so results are identical whichever
-   backend executes.  Determinants are not taken here: the one
-   elimination is exactdet.bareiss_det, in Python.
+   perm_tables reads an n x n distance table as one buffer of n*n signed
+   64-bit integers, row by row (permlab passes array("q")), sweeps the n!
+   permutations once and reads both tables off two signed integer
+   histograms, with no polynomial products (see its comment).  It returns
+   None whenever the computation cannot be completed safely in machine
+   words (a buffer that is not n*n integers, a negative entry, a histogram
+   past MAX_SPAN, or an arithmetic step that would wrap); permlab then runs
+   its pure sweep, so results are identical whichever backend executes.
 
    Plain C against the Python C API, with the GCC/Clang overflow builtins.
    Build in place with `python setup.py build_ext --inplace`. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <string.h>
 
 typedef long long ll;
 
@@ -24,36 +24,6 @@ typedef long long ll;
 
 #define ADD_OVF(a, b, r) __builtin_saddll_overflow((a), (b), (r))
 #define SUB_OVF(a, b, r) __builtin_ssubll_overflow((a), (b), (r))
-
-/* Read items 0..n-1 of seq into out: 0 ok, 1 when a value does not fit in
-   64 bits, -1 with an exception set on any other failure. */
-static int
-seq_to_ll(PyObject *seq, ll *out, Py_ssize_t n)
-{
-    PyObject *fast = PySequence_Fast(seq, "expected a sequence of integers");
-    if (fast == NULL)
-        return -1;
-    int rc = 0;
-    for (Py_ssize_t i = 0; i < n && rc == 0; i++) {
-        if (i >= PySequence_Fast_GET_SIZE(fast)) {
-            PyErr_SetString(PyExc_IndexError, "sequence index out of range");
-            rc = -1;
-            break;
-        }
-        /* held, since converting a non-int may run code that edits seq */
-        PyObject *item = PySequence_Fast_GET_ITEM(fast, i);
-        int overflow;
-        Py_INCREF(item);
-        out[i] = PyLong_AsLongLongAndOverflow(item, &overflow);
-        Py_DECREF(item);
-        if (overflow)
-            rc = 1;
-        else if (out[i] == -1 && PyErr_Occurred())
-            rc = -1;
-    }
-    Py_DECREF(fast);
-    return rc;
-}
 
 /* A new list of v[0..n-1]. */
 static PyObject *
@@ -102,33 +72,7 @@ next_perm(int *a, int n, int *sign)
     return 1;
 }
 
-/* Read the n x n table dist into nd[0 .. n*n-1] and each row's maximum
-   into nd[n*n + i]: 0 ok, 1 on a value that does not fit in 64 bits or is
-   negative, -1 with an exception set. */
-static int
-table_to_ll(PyObject *dist, ll *nd, int n)
-{
-    ll *rmax = nd + n * n;
-    for (int i = 0; i < n; i++) {
-        PyObject *row = PySequence_GetItem(dist, i);
-        if (row == NULL)
-            return -1;
-        int rc = seq_to_ll(row, nd + i * n, n);
-        Py_DECREF(row);
-        if (rc)
-            return rc;
-        rmax[i] = 0;
-        for (int j = 0; j < n; j++) {
-            if (nd[i * n + j] < 0)
-                return 1;
-            if (nd[i * n + j] > rmax[i])
-                rmax[i] = nd[i * n + j];
-        }
-    }
-    return 0;
-}
-
-/* Both permutation tables of the n x n table dist, from one sweep.
+/* Both permutation tables of the n x n table in the buffer, from one sweep.
 
    N = sum_s sgn(s) q^L(s), with L(s) = sum_i d(i, s(i)), is the histogram
    hN.  M = sum_s sgn(s) prod_i [d(i, s(i))] needs no bracket products:
@@ -149,24 +93,34 @@ table_to_ll(PyObject *dist, ll *nd, int n)
 static PyObject *
 perm_tables(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *dist, *result = NULL, *nlist = NULL, *mlist = NULL;
+    Py_buffer table;
+    PyObject *result = NULL, *nlist = NULL, *mlist = NULL;
     int n_arg, i, sign = 1;
-    if (!PyArg_ParseTuple(args, "Oi:perm_tables", &dist, &n_arg))
+    if (!PyArg_ParseTuple(args, "y*i:perm_tables", &table, &n_arg))
         return NULL;
     const int n = n_arg;  /* never addressed, so the sweep keeps it in a register */
-    if (n < 1 || n > MAX_PERM_N)
-        Py_RETURN_NONE;
-    ll *nd = PyMem_Malloc((size_t)(n * n + n) * sizeof(ll)), *hist = NULL;
-    int *perm = PyMem_Malloc((size_t)n * sizeof(int));
-    ll smax = 0;
+    ll *nd = NULL, *hist = NULL;
+    int *perm = NULL;
+    if (n < 1 || n > MAX_PERM_N || table.len != (Py_ssize_t)(n * n) * (Py_ssize_t)sizeof(ll))
+        goto done;
+    nd = PyMem_Malloc((size_t)(n * n) * sizeof(ll));
+    perm = PyMem_Malloc((size_t)n * sizeof(int));
     if (nd == NULL || perm == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    if (table_to_ll(dist, nd, n))
-        goto done;
+    memcpy(nd, table.buf, (size_t)table.len);
+    /* the histograms span 0 .. the sum of the row maxima */
+    ll smax = 0;
     for (i = 0; i < n; i++) {
-        if (ADD_OVF(smax, nd[n * n + i], &smax) || smax > MAX_SPAN)
+        ll rmax = 0;
+        for (int j = 0; j < n; j++) {
+            if (nd[i * n + j] < 0)
+                goto done;
+            if (nd[i * n + j] > rmax)
+                rmax = nd[i * n + j];
+        }
+        if (ADD_OVF(smax, rmax, &smax) || smax > MAX_SPAN)
             goto done;
     }
     hist = PyMem_Calloc(2 * ((size_t)smax + 1), sizeof(ll));
@@ -203,12 +157,13 @@ perm_tables(PyObject *Py_UNUSED(self), PyObject *args)
         result = PyTuple_Pack(2, nlist, mlist);
 
 done:
+    PyBuffer_Release(&table);
     Py_XDECREF(nlist);
     Py_XDECREF(mlist);
     PyMem_Free(nd);
     PyMem_Free(perm);
     PyMem_Free(hist);
-    /* neither a result nor an exception: decline, and the pure kernel runs */
+    /* neither a result nor an exception: decline, and the pure sweep runs */
     if (result == NULL && !PyErr_Occurred())
         Py_RETURN_NONE;
     return result;
@@ -216,7 +171,7 @@ done:
 
 static PyMethodDef speedups_methods[] = {
     {"perm_tables", perm_tables, METH_VARARGS,
-     "The N- and M-tables of a distance table from one permutation sweep, or None."},
+     "The N- and M-tables of an n*n int64 distance buffer from one permutation sweep, or None."},
     {NULL, NULL, 0, NULL},
 };
 

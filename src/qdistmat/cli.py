@@ -23,7 +23,6 @@ import sys
 import click
 
 from . import closedforms, permlab, wiener
-from ._kernels import BACKEND
 from .identities import det_checks, identity_suite, suite_key
 from .polyring import Poly
 from .treekit import (
@@ -543,7 +542,7 @@ def cmd_enumerate(exhaustive_n, weight, allow_n8, fmt):
 @main.command("backend")
 def cmd_backend():
     """Report which kernel backend is active."""
-    _echo(BACKEND)
+    _echo(permlab.BACKEND)
 
 
 if __name__ == "__main__":

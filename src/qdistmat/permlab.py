@@ -6,20 +6,38 @@ sum_i d(v_i, v_sigma(i)) (the N-table), and the signed count of bounded
 compositions below those distances (the M-table).  The paper's results say
 these polynomials are det D*_q and det D_q; ``perm_tables`` takes both
 from one sweep over all n! permutations and uses no determinant or matrix
-code, so it stays an independent check of the elimination route.  The
-compiled sweep reads M off N and one more signed histogram R, by the
-identity M = (-1)^n (N - R) / (1 - q)^n (``_kernels.pure.perm_tables``).
-On simple trees the tables are therefore ``closedforms.dq_star_simple``
-and ``dq_simple``; this module keeps no closed form of its own.
+code, so it stays an independent check of the elimination route.
+
+The sweep runs in C when the extension ``_speedups`` (``_speedups.c``,
+built by ``setup.py`` when a C compiler is present) is importable, and in
+Python (``_sweep``) otherwise; ``BACKEND`` names which.  The C sweep reads
+M off N and one more signed histogram R, by the identity
+M = (-1)^n (N - R) / (1 - q)^n, proved next to the code that uses it in
+``_speedups.c``.  It declines, returning None, on any table that does not
+fit its 64-bit words, and ``_sweep`` answers instead, so results never
+depend on the backend.  On simple trees the tables are therefore
+``closedforms.dq_star_simple`` and ``dq_simple``; this module keeps no
+closed form of its own.
 """
 
 from __future__ import annotations
 
-from . import _kernels
+import itertools
+import operator
+from array import array
+
 from .polyring import ONE, Poly, qbracket
 from .treekit import WeightedTree, all_pairs_distances, as_int
 
+try:
+    from . import _speedups
+except ImportError:
+    _speedups = None
+
+BACKEND = "compiled" if _speedups is not None else "pure"
+
 __all__ = [
+    "BACKEND",
     "PERM_MAX_N",
     "Permutation",
     "sign",
@@ -95,8 +113,97 @@ def perm_tables(t: WeightedTree) -> tuple[Poly, Poly]:
     """
     if t.n > PERM_MAX_N:
         raise ValueError(f"permutation sweeps capped at n = {PERM_MAX_N} (n! cost)")
-    n_coeffs, m_coeffs = _kernels.perm_tables(all_pairs_distances(t), t.n)
+    dist, n = all_pairs_distances(t), t.n
+    tables = None
+    # ``_speedups`` is looked up on every call, so a test may swap it
+    if _speedups is not None:
+        try:
+            tables = _speedups.perm_tables(array("q", itertools.chain.from_iterable(dist)), n)
+        except OverflowError:  # a distance of 2^63 or more: decline as well
+            pass
+    n_coeffs, m_coeffs = tables or _sweep(dist, n)
     return Poly(n_coeffs), Poly(m_coeffs)
+
+
+def _trim(coeffs):
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    del coeffs[n:]
+    return coeffs
+
+
+def _perm_signs(n):
+    # parity of every permutation of range(n) in itertools.permutations
+    # order.  The block of permutations that start with a lists the rest in
+    # the order of the permutations of n - 1 elements, and putting a in
+    # front costs a transpositions: the parities of n - 1, written out n
+    # times, with block a flipped when a is odd.
+    signs = b"\x00"
+    for m in range(2, n + 1):
+        flipped = bytes(s ^ 1 for s in signs)
+        signs = b"".join(flipped if a & 1 else signs for a in range(m))
+    return signs
+
+
+def _ones_mul(a, width):
+    # a * (1 + q + ... + q^(width-1)) via a sliding window of prefix sums
+    m = len(a)
+    prefix = [0] * (m + 1)
+    acc = 0
+    for i, c in enumerate(a):
+        acc += c
+        prefix[i + 1] = acc
+    out = [0] * (m + width - 1)
+    for k in range(len(out)):
+        hi = k + 1 if k < m else m
+        lo = k - width + 1
+        out[k] = prefix[hi] - (prefix[lo] if lo > 0 else 0)
+    return out
+
+
+def _sweep(dist, n):
+    """Both permutation tables of the n x n table ``dist``, by their definitions.
+
+    ``dist`` is a sequence of rows of plain Python ints, never modified.
+    Returns (N, M) as canonical coefficient lists (little-endian by degree,
+    the last entry nonzero, the zero polynomial empty), from one sweep over
+    the n! permutations p.  N is the signed histogram of the lengths
+    L(p) = sum_i d(i, p(i)): entry k is the even-minus-odd count of
+    permutations of length k.  M is sum_p sgn(p) prod_i [d(i, p(i))], with
+    [d] = 1 + q + ... + q^(d-1); a zero distance kills the term, which
+    subsumes the fixed-point rule for distance tables.  A negative
+    distance, which would index the histogram from its end, raises
+    ValueError, and a table of fewer than n rows raises IndexError.
+
+    The C sweep reads M off a second histogram instead, by the identity
+    proved in ``_speedups.c``.  This one stays on the definition, so that
+    the parity tests check the identity and the C sweep against it.
+    """
+    rows = [dist[i] for i in range(n)]  # a short table raises IndexError
+    if any(d < 0 for row in rows for d in row[:n]):
+        raise ValueError("distances must be nonnegative")
+    signs = _perm_signs(n)
+    hist = [0] * (sum(max(row[:n]) for row in rows) + 1)
+    acc = []
+    for odd, p in zip(signs, itertools.permutations(range(n))):
+        ds = list(map(operator.getitem, rows, p))
+        hist[sum(ds)] += -1 if odd else 1
+        if 0 in ds:
+            continue
+        prod = [1]
+        for w in ds:
+            if w > 1:
+                prod = _ones_mul(prod, w)
+        if len(prod) > len(acc):
+            acc.extend([0] * (len(prod) - len(acc)))
+        if odd:
+            for k, c in enumerate(prod):
+                acc[k] -= c
+        else:
+            for k, c in enumerate(prod):
+                acc[k] += c
+    return _trim(hist), _trim(acc)
 
 
 def _phi_bounds(p: Permutation, d: tuple) -> list[int]:

@@ -1,4 +1,4 @@
-"""Shared fixtures: the compiled kernels, built from source once per test run."""
+"""Shared fixtures: the compiled sweep, built from source once per test run."""
 
 import importlib.util
 import os
@@ -26,8 +26,8 @@ def _build_blocker():
 
 
 @pytest.fixture(scope="session")
-def speedups(tmp_path_factory):
-    """``qdistmat._kernels._speedups`` compiled from the checked-in C source.
+def speedups_lib(tmp_path_factory):
+    """A directory holding the extension where ``setup.py`` names it.
 
     It is built with ``setup.py build_ext`` into a temporary directory, so
     the checkout is left as it was, and with ``-Wall -Wextra -Werror``, so
@@ -37,19 +37,31 @@ def speedups(tmp_path_factory):
     """
     blocker = _build_blocker()
     if blocker:
-        pytest.skip(f"compiled kernels not built: {blocker}")
+        pytest.skip(f"compiled sweep not built: {blocker}")
     out = tmp_path_factory.mktemp("speedups")
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(out), "--build-temp", str(out / "temp")],
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
         cwd=ROOT, capture_output=True, text=True,
         env={**os.environ, "CFLAGS": f"{os.environ.get('CFLAGS', '')} -Wall -Wextra -Werror"},
     )
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    path = out / "qdistmat" / "_kernels" / f"_speedups{suffix}"
-    if proc.returncode or not path.exists():
+    if proc.returncode:
         pytest.fail(f"building the extension failed:\n{proc.stdout}\n{proc.stderr}")
-    spec = importlib.util.spec_from_file_location("qdistmat._kernels._speedups", path)
+    return out / "lib"
+
+
+@pytest.fixture(scope="session")
+def speedups(speedups_lib):
+    """``qdistmat._speedups`` compiled from the checked-in C source.
+
+    It is loaded from the one module the build left, whatever ``setup.py``
+    named it; ``test_built_checkout_reports_compiled`` checks that the
+    package imports it under that name.
+    """
+    built = list(speedups_lib.rglob(f"*{sysconfig.get_config_var('EXT_SUFFIX')}"))
+    if len(built) != 1:
+        pytest.fail(f"expected one built extension, found {built}")
+    spec = importlib.util.spec_from_file_location("qdistmat._speedups", built[0])
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

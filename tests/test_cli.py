@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from qdistmat import _kernels, cli, closedforms, identities, permlab
+from qdistmat import cli, closedforms, identities, permlab
 from qdistmat.polyring import Poly
 from qdistmat.treekit import (enumerate_trees, load_tree, random_tree, random_trees,
                               tree_to_json_dict)
@@ -347,8 +347,8 @@ def test_verify_tree_usage_errors(runner, tmp_path, monkeypatch, args):
 def test_verify_failures_match_a_direct_loop(runner, monkeypatch, speedups, args):
     # faults that depend on the class of a tree and its leaf pair: the memo
     # must report each on every labelled tree, in order.  The compiled
-    # kernels keep the two passes over 200 random trees short.
-    monkeypatch.setattr(_kernels, "_speedups", speedups)
+    # sweep keeps the two passes over 200 random trees short.
+    monkeypatch.setattr(permlab, "_speedups", speedups)
     real_tables, real_corner = permlab.perm_tables, closedforms.corner_minor_closed
 
     def tables(t):

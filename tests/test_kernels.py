@@ -7,15 +7,20 @@ builds the extension from source once per test run.
 """
 
 import math
+import os
 import random
+import shutil
+import subprocess
+import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
+from pathlib import Path
 
 import pytest
 
-from qdistmat import _kernels, closedforms, exactdet
-from qdistmat._kernels import BACKEND, pure
+from qdistmat import closedforms, exactdet, permlab
 from qdistmat.exactdet import bareiss_det, det_cofactor
 from qdistmat.identities import identity_suite
 from qdistmat.polyring import Poly
@@ -25,6 +30,7 @@ from qdistmat.treekit import (
 )
 
 COMPILED = ("perm_tables",)
+PACKAGE = Path(permlab.__file__).resolve().parent
 
 
 def canon(items):
@@ -38,15 +44,18 @@ def random_coeffs(rng, max_len=8, bound=60):
     return canon(rng.randint(-bound, bound) for _ in range(rng.randint(0, max_len)))
 
 
+def int64(dist):
+    # the table as the C sweep takes it: one buffer of n * n int64, row by row
+    return array("q", chain.from_iterable(dist))
+
+
 def test_backend_reported():
-    assert BACKEND in ("compiled", "pure")
+    assert permlab.BACKEND in ("compiled", "pure")
 
 
 def test_compiled_module_exports_the_dispatched_kernels(speedups):
     exported = {name for name in dir(speedups) if not name.startswith("_")}
-    dispatched = {name for name in _kernels.__all__
-                  if getattr(getattr(_kernels, name), "__module__", None) == _kernels.__name__}
-    assert exported == dispatched == set(COMPILED)
+    assert exported == set(COMPILED)
 
 
 def test_perm_tables_parity(speedups):
@@ -54,37 +63,38 @@ def test_perm_tables_parity(speedups):
     for n in range(1, 8):
         for _ in range(12 if n < 7 else 3):
             dist = [[rng.choice([0, rng.randint(0, 6)]) for _ in range(n)] for _ in range(n)]
-            assert speedups.perm_tables(dist, n) == pure.perm_tables(dist, n), dist
+            assert speedups.perm_tables(int64(dist), n) == permlab._sweep(dist, n), dist
     for seed in range(2):
         dist = all_pairs_distances(random_tree(8, 4, seed))
-        assert speedups.perm_tables(dist, 8) == pure.perm_tables(dist, 8), seed
+        assert speedups.perm_tables(int64(dist), 8) == permlab._sweep(dist, 8), seed
 
 
-def test_perm_tables_declines(monkeypatch, speedups):
-    monkeypatch.setattr(_kernels, "_speedups", speedups)
-    # a histogram as wide as these distances is past the C kernel's span
-    # cap; the pure kernel's dense answer would be as wide, so only the
+def test_perm_tables_declines(speedups):
+    # a histogram as wide as these distances is past the C sweep's span
+    # cap; the pure sweep's dense answer would be as wide, so only the
     # decline is checked here
-    assert speedups.perm_tables([[0, 10 ** 9], [10 ** 9, 0]], 2) is None
-    # the empty table is outside the C kernel's range, and the dispatcher
-    # answers with the pure kernel's empty product
-    assert speedups.perm_tables([], 0) is None
-    assert _kernels.perm_tables([], 0) == ([1], [1])
+    assert speedups.perm_tables(int64([[0, 10 ** 9], [10 ** 9, 0]]), 2) is None
+    # the empty table is outside the C sweep's range; the pure sweep gives
+    # the empty product
+    assert speedups.perm_tables(array("q"), 0) is None
+    assert permlab._sweep([], 0) == ([1], [1])
 
 
 def test_perm_tables_short_table_raises(speedups):
-    for kernel in (speedups.perm_tables, pure.perm_tables):
-        with pytest.raises(IndexError):
-            kernel([[0, 1]], 2)
+    # a buffer of any length but n * n entries is declined by the C sweep,
+    # and a table of fewer than n rows raises in the pure one
+    for items in ([0, 1], [0, 1, 2], [0, 1, 1, 0, 0]):
+        assert speedups.perm_tables(array("q", items), 2) is None, items
+    with pytest.raises(IndexError):
+        permlab._sweep([[0, 1]], 2)
 
 
-def test_perm_tables_negative_entry_raises(monkeypatch, speedups):
+def test_perm_tables_negative_entry_raises(speedups):
     # a negative length would index the histograms from their end: the C
-    # kernel declines, and the pure one raises
-    monkeypatch.setattr(_kernels, "_speedups", speedups)
-    assert speedups.perm_tables([[0, -1], [2, 0]], 2) is None
+    # sweep declines, and the pure one raises
+    assert speedups.perm_tables(int64([[0, -1], [2, 0]]), 2) is None
     with pytest.raises(ValueError):
-        _kernels.perm_tables([[0, -1], [2, 0]], 2)
+        permlab._sweep([[0, -1], [2, 0]], 2)
 
 
 @pytest.mark.parametrize("t", [
@@ -97,7 +107,7 @@ def test_perm_tables_negative_entry_raises(monkeypatch, speedups):
     from_edges(6, [(1, 2, 2), (1, 3, 1), (3, 4, 3), (4, 5, 1), (5, 6, 2)]),
 ], ids=["path5", "star4-weighted", "unit6", "weighted7", "weighted8", "leaves2-6"])
 def test_dispatcher_compiled_matches_pure(monkeypatch, speedups, t):
-    monkeypatch.setattr(_kernels, "_speedups", None)
+    monkeypatch.setattr(permlab, "_speedups", None)
     want = identity_suite(t)
     # count the calls the compiled module answers, rebinding its attributes
     # the way the benchmark's tracer does
@@ -109,22 +119,49 @@ def test_dispatcher_compiled_matches_pure(monkeypatch, speedups, t):
             return r
 
         monkeypatch.setattr(speedups, name, counted)
-    monkeypatch.setattr(_kernels, "_speedups", speedups)
+    monkeypatch.setattr(permlab, "_speedups", speedups)
     assert identity_suite(t) == want
     assert all(answered[name] for name in COMPILED), answered
 
 
 def test_dispatcher_falls_back_to_pure(monkeypatch, speedups):
-    # a table past the C kernel's span cap: the pure kernel's answer would
-    # be a histogram of 2 * 10^9 entries, so a stand-in records the call
-    monkeypatch.setattr(_kernels, "_speedups", speedups)
-    table = [[0, 10 ** 9], [10 ** 9, 0]]
+    # a distance past the C sweep's span cap, which it declines, and one of
+    # 2^63, which does not fit the int64 buffer: the pure sweep's answer
+    # would be a histogram as wide, so a stand-in records the call
+    monkeypatch.setattr(permlab, "_speedups", speedups)
     calls = []
-    monkeypatch.setattr(pure, "perm_tables",
+    monkeypatch.setattr(permlab, "_sweep",
                         lambda dist, n: calls.append((dist, n)) or ([1], [-1]))
-    assert speedups.perm_tables(table, 2) is None
-    assert _kernels.perm_tables(table, 2) == ([1], [-1])
-    assert calls == [(table, 2)]
+    weights = (10 ** 9, 2 ** 63)
+    for w in weights:
+        assert permlab.perm_tables(from_edges(2, [(1, 2, w)])) == (Poly([1]), Poly([-1]))
+    assert calls == [(((0, w), (w, 0)), 2) for w in weights]
+    with pytest.raises(OverflowError):
+        int64([[0, 2 ** 63], [2 ** 63, 0]])
+
+
+def run_cli(path, *args):
+    env = {**os.environ, "PYTHONPATH": str(path)}
+    proc = subprocess.run([sys.executable, "-m", "qdistmat.cli", *args],
+                          capture_output=True, env=env, check=True)
+    return proc.stdout
+
+
+def test_built_checkout_reports_compiled(tmp_path, speedups_lib):
+    # the module setup.py builds must be the one the package imports: copy
+    # the package, lay the build over one copy as an install would, and
+    # run each
+    checkouts = {}
+    for backend in ("compiled", "pure"):
+        root = tmp_path / backend
+        shutil.copytree(PACKAGE, root / "qdistmat",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd"))
+        checkouts[backend] = root
+    shutil.copytree(speedups_lib, checkouts["compiled"], dirs_exist_ok=True)
+    for backend, root in checkouts.items():
+        assert run_cli(root, "backend").decode().strip() == backend
+    verify = ("verify", "--exhaustive", "5", "--output", "json")
+    assert run_cli(checkouts["compiled"], *verify) == run_cli(checkouts["pure"], *verify)
 
 
 def test_pure_bareiss_rejects_bad_shapes():

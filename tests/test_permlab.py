@@ -10,7 +10,6 @@ import pytest
 import propcheck
 from propcheck import binomial_tables
 from qdistmat import closedforms, permlab
-from qdistmat._kernels import pure
 from qdistmat.exactdet import det_bareiss
 from qdistmat.permlab import (
     Permutation,
@@ -57,7 +56,7 @@ def test_pure_sweep_signs_match_sign():
     # the pure sweep's parities, built by blocks, against the cycle count
     for n in range(8):
         perms = list(itertools.permutations(range(1, n + 1)))
-        signs = pure._perm_signs(n)
+        signs = permlab._perm_signs(n)
         assert len(signs) == len(perms)
         for odd, p in zip(signs, perms):
             assert (-1 if odd else 1) == sign(Permutation(p)), p
