@@ -524,13 +524,8 @@ def cmd_enumerate(exhaustive_n, weight, allow_n8, fmt):
     _check_exhaustive_cap(exhaustive_n, allow_n8)
     trees = _make_trees(enumerate_trees, exhaustive_n, weight)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["tree", "u", "v", "w"])
-        for idx, t in enumerate(trees):
-            for u, v, w in t.edges:
-                writer.writerow([idx, u, v, w])
-        _echo(buf.getvalue().rstrip("\n"))
+        emit_csv(["tree", "u", "v", "w"],
+                 ((idx, u, v, w) for idx, t in enumerate(trees) for u, v, w in t.edges))
     elif fmt == "json":
         for t in trees:
             _echo(json.dumps(tree_to_json_dict(t)))

@@ -1,9 +1,11 @@
 """Exact determinants over the integer polynomial ring.
 
 Two routes with different jobs: fraction-free Bareiss elimination is the
-production path and cofactor expansion is the small-order oracle.
+production path, and Laplace expansion over column subsets, with no
+division and no pivot, is the independent oracle it is checked against.
 check_dodgson_identity evaluates both sides of the condensation identity
-(the paper's Dodgson rule) with Bareiss determinants of minors:
+(the paper's Dodgson rule) with determinants of minors, Bareiss unless the
+caller passes its own:
 
     det(A) det(A with rows/cols i, j deleted)
         = det(A_{i,i}) det(A_{j,j}) - det(A_{i,j}) det(A_{j,i})
@@ -25,20 +27,12 @@ minors and is far narrower.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Optional
+from typing import Callable, Optional
 
-from .polyring import Poly, _make, pack, unpack
+from .polyring import ONE, Poly, _make, pack, unpack
 from .qmatrix import minor
 
-__all__ = [
-    "det_bareiss",
-    "det_cofactor",
-    "check_dodgson_identity",
-    "minor_det",
-    "COFACTOR_MAX_ORDER",
-]
-
-COFACTOR_MAX_ORDER = 6
+__all__ = ["det_bareiss", "det_cofactor", "check_dodgson_identity"]
 
 
 def det_bareiss(m: tuple) -> Poly:
@@ -140,45 +134,35 @@ def _int_det(m):
 
 
 def det_cofactor(m: tuple) -> Poly:
-    """Determinant by Laplace expansion along the first row (order <= 6)."""
-    if not m or any(len(row) != len(m) for row in m):
-        raise ValueError("matrix must be square and non-empty")
-    if len(m) > COFACTOR_MAX_ORDER:
-        raise ValueError(f"cofactor oracle capped at order {COFACTOR_MAX_ORDER}")
-    return _cofactor(m)
+    """Determinant by Laplace expansion over column subsets, with no division.
 
-
-def _cofactor(rows) -> Poly:
-    n = len(rows)
-    if n == 1:
-        return _make(rows[0][0])
-    acc = Poly()
-    for j in range(n):
-        a = rows[0][j]
-        if not a:
-            continue
-        sub = tuple(row[:j] + row[j + 1 :] for row in rows[1:])
-        term = _make(a) * _cofactor(sub)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
-def minor_det(m: tuple, rows: tuple[int, ...], cols: tuple[int, ...],
-              dets: dict) -> Poly:
-    """Determinant of m with the 1-based rows and cols deleted (none: m itself).
-
-    ``dets`` holds the determinants already taken on minors of this one
-    matrix, keyed by (rows, cols) as sorted tuples; a minor found there is
-    not recomputed, and a new one is added.
+    The expansion goes row by row and keeps one signed sum per set S of
+    columns already used: after row k, the sum at S (|S| = k + 1) is the
+    determinant of m on rows 0..k and the columns S.  Row k extends S by a
+    column j outside it with the sign (-1)^|{s in S : s > j}|, the
+    inversions j adds to the permutation.  That is at most n * 2^(n-1)
+    products, against n! terms for the recursion along the first row.
     """
-    key = (tuple(sorted(rows)), tuple(sorted(cols)))
-    if key not in dets:
-        dets[key] = det_bareiss(minor(m, rows, cols) if rows or cols else m)
-    return dets[key]
+    n = len(m)
+    if not n or any(len(row) != n for row in m):
+        raise ValueError("matrix must be square and non-empty")
+    sums = {0: ONE}
+    for row in m:
+        extended = {}
+        for used, acc in sums.items():
+            for j, e in enumerate(row):
+                if e and not used >> j & 1:
+                    term = acc * _make(e)
+                    if (used >> j + 1).bit_count() & 1:
+                        term = -term
+                    key = used | 1 << j
+                    extended[key] = extended[key] + term if key in extended else term
+        sums = extended
+    return sums.get((1 << n) - 1, Poly())
 
 
-def check_dodgson_identity(m: tuple, dets: Optional[dict] = None,
-                           pair: Optional[tuple[int, int]] = None) -> bool:
+def check_dodgson_identity(m: tuple, pair: Optional[tuple[int, int]] = None,
+                           det: Optional[Callable[[tuple, tuple], Poly]] = None) -> bool:
     """Evaluate both sides of the condensation identity on a full matrix.
 
     With m_{R,C} for m without the 1-based rows R and columns C, and i < j
@@ -186,9 +170,12 @@ def check_dodgson_identity(m: tuple, dets: Optional[dict] = None,
 
         det(m) det(m_{ij,ij}) = det(m_{i,i}) det(m_{j,j}) - det(m_{i,j}) det(m_{j,i}).
 
-    Uses Bareiss determinants of the matrix and five minors; order must be
-    at least 3.  ``dets``, as in ``minor_det``, lets a caller share these
-    determinants with other identities on the same matrix.
+    Takes the determinant of the matrix and of five minors, each once; the
+    order must be at least 3.  ``det(rows, cols)``, given sorted tuples of
+    the deleted 1-based rows and columns (both empty for m itself), returns
+    that determinant; by default it is ``det_bareiss`` of the minor.  A
+    caller that passes its own can share the values with other identities
+    on the same matrix.
     """
     n = len(m)
     if n < 3:
@@ -196,11 +183,9 @@ def check_dodgson_identity(m: tuple, dets: Optional[dict] = None,
     i, j = (1, n) if pair is None else pair
     if not 1 <= i < j <= n:
         raise ValueError(f"pair must be 1 <= i < j <= {n}, got {(i, j)}")
-    if dets is None:
-        dets = {}
-
-    def det(rows, cols):
-        return minor_det(m, rows, cols, dets)
+    if det is None:
+        def det(rows, cols):
+            return det_bareiss(minor(m, rows, cols) if rows else m)
 
     lhs = det((), ()) * det((i, j), (i, j))
     rhs = det((i,), (i,)) * det((j,), (j,)) - det((i,), (j,)) * det((j,), (i,))

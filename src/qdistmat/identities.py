@@ -29,12 +29,13 @@ sweep runs the suite once per key.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import closedforms, permlab
-from .exactdet import check_dodgson_identity, det_bareiss, minor_det
+from .exactdet import check_dodgson_identity, det_bareiss
 from .polyring import Poly, qbracket
-from .qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star, tree_congruent
+from .qmatrix import build_d, build_d_plus_xJ, build_dq, build_dq_star, minor, tree_congruent
 from .treekit import WeightedTree, canonical_order
 
 __all__ = ["GENFUN_MAX_N", "DetCheck", "det_checks", "identity_suite", "suite_key"]
@@ -82,12 +83,15 @@ def identity_suite(t: WeightedTree) -> tuple[list[tuple[str, bool]], tuple[Poly,
     """Every executable identity for one tree.
 
     Returns the (name, passed) pairs in a fixed order, and the determinant
-    profile (det D, det D_q, det D*_q, det(D + xJ)), which depends only on
-    the weight multiset if the paper's main results hold.
+    profile (det D, det(D + xJ), det D*_q, det D_q), in ``det_checks``
+    order, which depends only on the weight multiset if the paper's main
+    results hold.  The condensation, corner-minor and recurrence checks
+    share one memoized ``det`` on the congruent D_q, so its determinant and
+    each of its five leaf minors are taken once.
     """
     n = t.n
     checks = det_checks(t)
-    det_d, det_dxj, det_dq_star, det_dq = (c.determinant for c in checks)
+    det_d, _, det_dq_star, det_dq = (c.determinant for c in checks)
     results = [(f"det({c.name})==closed", c.passed) for c in checks]
     if t.is_simple():
         results += [("graham_pollak", det_d == closedforms.graham_pollak(n)),
@@ -95,29 +99,33 @@ def identity_suite(t: WeightedTree) -> tuple[list[tuple[str, bool]], tuple[Poly,
                     ("dq_star_simple", det_dq_star == closedforms.dq_star_simple(n))]
     if n >= 3:
         dq = checks[3].matrix
-        dets = {((), ()): det_dq}
+
+        @functools.cache
+        def det(rows, cols):
+            return det_bareiss(minor(dq, rows, cols)) if rows else det_dq
+
         u, v = _leaf_pair(t)
-        results.append(("dodgson_identity", check_dodgson_identity(dq, dets, (u, v))))
+        results.append(("dodgson_identity", check_dodgson_identity(dq, (u, v), det)))
         (_, w_u), = t.adjacency()[u]
         (_, w_v), = t.adjacency()[v]
         rest = [w for (a, b, w) in t.edges if u not in (a, b) and v not in (a, b)]
-        corner = (-1) ** (u + v + n + 1) * minor_det(dq, (u,), (v,), dets)
+        corner = (-1) ** (u + v + n + 1) * det((u,), (v,))
         results.append(
             ("corner_minor", corner == closedforms.corner_minor_closed(w_u, w_v, rest))
         )
         if n >= 4:
             lhs = (
                 det_dq
-                + qbracket(2 * w_u) * minor_det(dq, (u,), (u,), dets)
-                + qbracket(2 * w_v) * minor_det(dq, (v,), (v,), dets)
-                + qbracket(2 * w_u) * qbracket(2 * w_v) * minor_det(dq, (u, v), (u, v), dets)
+                + qbracket(2 * w_u) * det((u,), (u,))
+                + qbracket(2 * w_v) * det((v,), (v,))
+                + qbracket(2 * w_u) * qbracket(2 * w_v) * det((u, v), (u, v))
             )
             results.append(("recurrence16", not lhs))
     if n <= GENFUN_MAX_N:
         n_table, m_table = permlab.perm_tables(t)
         results.append(("genfun_N", n_table == det_dq_star))
         results.append(("genfun_M", m_table == det_dq))
-    return results, (det_d, det_dq, det_dq_star, det_dxj)
+    return results, tuple(c.determinant for c in checks)
 
 
 def suite_key(t: WeightedTree) -> tuple:

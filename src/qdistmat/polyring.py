@@ -29,7 +29,6 @@ __all__ = [
     "qpower",
     "ZERO",
     "ONE",
-    "Q",
     "NEG_INF",
 ]
 
@@ -273,7 +272,6 @@ def _coerce(value):
 
 ZERO = _make(())
 ONE = _make((1,))
-Q = _make((0, 1))
 
 
 def qbracket(alpha: int) -> Poly:

@@ -5,12 +5,7 @@ import random
 import pytest
 
 import propcheck
-from qdistmat.exactdet import (
-    COFACTOR_MAX_ORDER,
-    check_dodgson_identity,
-    det_bareiss,
-    det_cofactor,
-)
+from qdistmat.exactdet import check_dodgson_identity, det_bareiss, det_cofactor
 from qdistmat import closedforms, exactdet
 from qdistmat.polyring import Poly, qbracket
 from qdistmat.qmatrix import (
@@ -19,6 +14,7 @@ from qdistmat.qmatrix import (
     build_dq,
     build_dq_star,
     minor,
+    tree_congruent,
 )
 from qdistmat.treekit import from_edges, path_tree, random_tree, star_tree
 
@@ -75,12 +71,15 @@ def test_cofactor_examples():
 
 
 def test_cofactor_cap():
-    m = build_dq(random_tree(COFACTOR_MAX_ORDER + 1, 1, 0))
-    with pytest.raises(ValueError):
-        det_cofactor(m)
     for m in ((), (((1,),), ((1,), (2,)))):
         with pytest.raises(ValueError):
             det_cofactor(m)
+    # no order cap: the expansion agrees with Bareiss on tree matrices up to n = 10
+    for n in range(7, 11):
+        t = random_tree(n, 3, n)
+        for m in (build_d(t), build_d_plus_xJ(t), build_dq_star(t), build_dq(t),
+                  tree_congruent(t, build_dq_star(t)), tree_congruent(t, build_dq(t))):
+            assert det_cofactor(m) == det_bareiss(m), t.edges
 
 
 def test_bareiss_cofactor_agreement():
@@ -126,6 +125,15 @@ def test_dodgson_identity_order_guard():
         check_dodgson_identity(ints([[1, 2], [3, 4]]))
 
 
+def recording_det(m, dets):
+    """A ``det`` for check_dodgson_identity that records each minor it is asked for."""
+    def det(rows, cols):
+        assert (rows, cols) not in dets  # each determinant is asked for once
+        dets[rows, cols] = det_bareiss(minor(m, rows, cols) if rows else m)
+        return dets[rows, cols]
+    return det
+
+
 def test_dodgson_identity_on_every_pair():
     rng = random.Random(45)
     for n in range(3, 6):
@@ -134,7 +142,7 @@ def test_dodgson_identity_on_every_pair():
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     dets = {}
-                    assert check_dodgson_identity(m, dets, (i, j))
+                    assert check_dodgson_identity(m, (i, j), recording_det(m, dets))
                     # it condenses on rows and columns i and j, and on no others
                     assert set(dets) == {
                         ((), ()), ((i,), (i,)), ((j,), (j,)), ((i,), (j,)), ((j,), (i,)),
@@ -145,7 +153,8 @@ def test_dodgson_identity_on_every_pair():
                         assert value == det_cofactor(sub)
     m = propcheck.random_int_matrix(rng, 4)
     default, first_last = {}, {}
-    assert check_dodgson_identity(m, default) and check_dodgson_identity(m, first_last, (1, 4))
+    assert check_dodgson_identity(m, det=recording_det(m, default))
+    assert check_dodgson_identity(m, (1, 4), recording_det(m, first_last))
     assert default == first_last
     for bad in ((2, 2), (3, 2), (0, 2), (1, 5)):
         with pytest.raises(ValueError):

@@ -45,7 +45,7 @@ def test_suite_names_count_and_profile(t):
     assert len(names) == 4 + 3 * simple + 2 * (n >= 3) + (n >= 4) + 2 * (n <= 8)
     assert all(ok for _, ok in results), results
     assert profile == tuple(
-        det_bareiss(b(t)) for b in (build_d, build_dq, build_dq_star, build_d_plus_xJ)
+        det_bareiss(b(t)) for b in (build_d, build_d_plus_xJ, build_dq_star, build_dq)
     )
 
 
