@@ -44,8 +44,10 @@ DEFAULT_EXHAUSTIVE_CAP = 7
 # whole `verify --exhaustive 8` processes, quoted by --allow-n8 and its warning
 N8_SWEEP_TIME = "about 22 s compiled and 50 s pure on a 2-core machine with Python 3.11"
 # Matrix entries, the Wiener polynomial and the determinants are dense
-# polynomials whose degrees grow with the total edge weight; far above this
-# cap, building them exhausts memory.
+# polynomials whose degrees grow with the total edge weight; this cap bounds
+# that degree, not n, time or memory.  Every weight is at least 1, so a
+# unit-weight tree on up to 10001 vertices passes it (`det --path 10001`),
+# and the n x n distance table and matrices grow as n^2.
 MAX_TOTAL_WEIGHT = 10_000
 
 EXIT_IDENTITY_FAILURE = 1

@@ -2,10 +2,10 @@
 
 Each tree's four matrices D, D + xJ, D*_q and D_q are built once and each
 of their determinants is taken once; every check compares values already
-in hand.  D*_q and D_q are first taken to their tree-congruent form
-(``qmatrix.tree_congruent``): a diagonal matrix and an arrowhead, which
-keep the determinant, and for D_q every minor at non-root leaves, and
-pack far narrower.  The suite checks
+in hand.  Each matrix is first taken to its tree-congruent form
+(``qmatrix.tree_congruent``): three arrowheads and a diagonal matrix,
+with at most 3n - 2 nonzeros, which keep the determinant, and for D_q
+every minor at non-root leaves, and pack far narrower.  The suite checks
 
 - the four determinants against their closed forms (Bapat-Kirkland-Neumann
   for D and D + xJ, a product over the edges for D*_q and a sum over the
@@ -49,7 +49,7 @@ GENFUN_MAX_N = 8
 @dataclass(frozen=True)
 class DetCheck:
     name: str
-    matrix: tuple  # the rows the determinant is taken of; D*_q and D_q tree-congruent
+    matrix: tuple  # the rows the determinant is taken of, in tree-congruent form
     determinant: Poly
     closed: Poly
 
@@ -61,13 +61,14 @@ class DetCheck:
 def det_checks(t: WeightedTree) -> list[DetCheck]:
     """Each matrix's determinant against its closed form: D, D+xJ, Dq*, Dq.
 
-    D and D + xJ are taken as built; D*_q and D_q in their tree-congruent
-    form, which has the same determinant.
+    Each matrix is taken in its tree-congruent form, which has the same
+    determinant: D and D + xJ with multiplier 1 (two arrowheads), D*_q and
+    D_q with multiplier q^(w_v) (a diagonal matrix and an arrowhead).
     """
     ws = t.weights
     return [DetCheck(name, m, det_bareiss(m), closed) for name, m, closed in (
-        ("D", build_d(t), Poly([closedforms.bkn_det(ws)])),
-        ("D+xJ", build_d_plus_xJ(t), closedforms.bkn_det_xj(ws)),
+        ("D", tree_congruent(t, build_d(t), unit=True), Poly([closedforms.bkn_det(ws)])),
+        ("D+xJ", tree_congruent(t, build_d_plus_xJ(t), unit=True), closedforms.bkn_det_xj(ws)),
         ("Dq*", tree_congruent(t, build_dq_star(t)), closedforms.dq_star_closed(ws)),
         ("Dq", tree_congruent(t, build_dq(t)), closedforms.dq_closed(ws)),
     )]

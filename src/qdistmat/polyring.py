@@ -10,8 +10,9 @@ The bracket of a nonnegative integer a is the polynomial
 1 + q + ... + q^(a-1), with bracket(0) = 0; at q = 1 it evaluates to a.
 
 Products go through one Kronecker codec, ``pack`` at q = 2^b and
-``unpack`` to signed base-2^b digits: ``Poly.__mul__``, the pure Bareiss
-kernel and ``qmatrix.tree_congruent`` each prove their own width b.  Both
+``unpack`` to signed base-2^b digits: ``Poly.__mul__``, the elimination
+(``exactdet.bareiss_det``) and ``qmatrix.tree_congruent`` each prove their
+own width b.  Both
 halves of the codec divide and conquer at power-of-two digit counts, so
 their cost grows as the packed length times its logarithm.
 """

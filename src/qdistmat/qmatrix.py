@@ -2,8 +2,8 @@
 
 Four constructions: the plain distance matrix, its two q-analogues (bracket
 entries and monomial entries), and the all-ones shift used by the rank-one
-perturbation determinant, and the tree-congruent form of the two
-q-matrices that the determinants are taken of.  Minors are taken by
+perturbation determinant, and the tree-congruent form of each of them
+that the determinants are taken of.  Minors are taken by
 deleting 1-based row and column index sets, matching the
 superscript/subscript minor notation.
 
@@ -61,12 +61,13 @@ def build_d_plus_xJ(t: WeightedTree) -> tuple:
     return _from_distances(t, lambda x: (x, 1))
 
 
-def tree_congruent(t: WeightedTree, m: tuple) -> tuple:
-    """C = L M L^T, Graham and Pollak's congruence, for M = D*_q or D_q of t.
+def tree_congruent(t: WeightedTree, m: tuple, unit: bool = False) -> tuple:
+    """C = L M L^T, Graham and Pollak's congruence, for M = D*_q or D_q of t,
+    or, with ``unit``, for M = D or D + xJ.
 
     Root t at r, its smallest label of degree at least 2 (vertex 1 when
     n <= 2).  Each other vertex v has a parent p(v) and the weight w_v of
-    the edge (v, p(v)); let c_v = q^(w_v) and
+    the edge (v, p(v)); let c_v = q^(w_v), or c_v = 1 with ``unit``, and
 
         L = I - sum_(v != r) c_v e_v e_p(v)^T.
 
@@ -80,6 +81,16 @@ def tree_congruent(t: WeightedTree, m: tuple) -> tuple:
     the parent map alone; on D*_q it is diag(1, 1 - q^(2 w_v)), and on
     D_q an arrowhead: row r is (0, [w_u]), column r is ([w_v]), and the
     rest of the diagonal is -[2 w_v].
+
+    With ``unit`` (every c_v = 1, and L' = I), D becomes the arrowhead
+    [[0, w^T], [w, -2 diag(w)]]: f_v(x) = d(v, x) - d(p(v), x) is w_v for
+    x outside the subtree of v and -w_v inside it, so entry (v, u), u and
+    v not r, is f_v(u) - f_v(p(u)), which is -2 w_v when u = v (v inside,
+    p(v) outside) and 0 otherwise (u and p(u) on the same side); entry
+    (r, u) is d(r, u) - d(r, p(u)) = w_u, entry (v, r) is w_v by symmetry,
+    and (r, r) is 0.  And L 1 = e_r, every row v != r of L summing to
+    1 - 1, so L J L^T = e_r e_r^T: C of D + xJ is the same arrowhead with
+    x in the root corner.
 
     Two facts make C a stand-in for M, for every square M of order n:
 
@@ -95,10 +106,11 @@ def tree_congruent(t: WeightedTree, m: tuple) -> tuple:
       the kept rows R' and columns S', and both outer factors are
       principal submatrices of unit triangular matrices, of determinant 1.
 
-    The entries are computed packed, at q = 2^b (``polyring.pack``).
-    Each entry of C is a signed sum of at most 8 shifted entries of M, so
-    its coefficients stay below 8 times the largest of M in absolute
-    value, and b is wide enough to read them back.
+    The entries are computed packed, at q = 2^b (``polyring.pack``), where
+    multiplying by c_v = q^(w_v) is a shift by b w_v bits (by 0 with
+    ``unit``).  Each entry of C is a signed sum of at most 8 shifted
+    entries of M, so its coefficients stay below 8 times the largest of M
+    in absolute value, and b is wide enough to read them back.
     """
     n, adj = t.n, t.adjacency()
     root = next((v for v in range(1, n + 1) if len(adj[v]) > 1), 1) - 1
@@ -112,7 +124,7 @@ def tree_congruent(t: WeightedTree, m: tuple) -> tuple:
         for u, w in adj[v + 1]:
             u -= 1
             if u != root and parent[u] is None:
-                parent[u], shift[u] = v, bits * w
+                parent[u], shift[u] = v, 0 if unit else bits * w
                 stack.append(u)
     packed = {e: pack(e, bits) for e in entries}
     rows = [list(map(packed.__getitem__, row)) for row in m]

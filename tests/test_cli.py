@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -58,6 +59,18 @@ def test_det_json_schema(runner):
     assert result.exit_code == 0
     payload = validated_json(result)
     assert payload["pass"] is True
+
+
+def test_det_on_100_weighted_vertices_is_sparse_work(runner):
+    # a cost guard: the dense elimination took about 17 s of CPU for this
+    # command and the sparse one about 0.1 s, so 5 s is far from both
+    start = time.process_time()
+    result = runner.invoke(cli.main, ["det", "--random", "100", "--max-weight", "4",
+                                      "--seed", "0", "--output", "json"])
+    elapsed = time.process_time() - start
+    assert result.exit_code == 0
+    assert validated_json(result)["pass"] is True
+    assert elapsed <= 5, elapsed
 
 
 def test_det_csv(runner):

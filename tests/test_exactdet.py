@@ -1,4 +1,4 @@
-"""Determinant routes: Bareiss, cofactor oracle, condensation."""
+"""Determinant routes: the elimination, the cofactor oracle, condensation."""
 
 import random
 
@@ -74,7 +74,7 @@ def test_cofactor_cap():
     for m in ((), (((1,),), ((1,), (2,)))):
         with pytest.raises(ValueError):
             det_cofactor(m)
-    # no order cap: the expansion agrees with Bareiss on tree matrices up to n = 10
+    # no order cap: the expansion agrees with the elimination on tree matrices up to n = 10
     for n in range(7, 11):
         t = random_tree(n, 3, n)
         for m in (build_d(t), build_d_plus_xJ(t), build_dq_star(t), build_dq(t),

@@ -1,6 +1,5 @@
 """Kernels: the permutation sweep's backend parity and dispatch, and the
-one Bareiss elimination (``exactdet.bareiss_det``) against independent
-routes.
+one elimination (``exactdet.bareiss_det``) against independent routes.
 
 The compiled tests take the ``speedups`` fixture (``conftest.py``), which
 builds the extension from source once per test run.
@@ -180,8 +179,9 @@ def cofactor_det(rows):
 
 def test_pure_bareiss_matches_cofactor():
     rng = random.Random(6)
-    for _ in range(300):
-        n = rng.randint(1, 6)
+    for trial in range(306):
+        # six dense orders 7 to 9 after the small ones
+        n = rng.randint(1, 6) if trial < 300 else 7 + trial % 3
         rows = [[canon(rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(0, 11)))
                  for _ in range(n)] for _ in range(n)]
         assert bareiss_det(rows) == cofactor_det(rows), rows
@@ -249,21 +249,21 @@ def test_pure_bareiss_edge_cases(rows, det):
     assert cofactor_det(rows) == det
 
 
-# -- _int_det: pivoting on the entry of least bit length --------------------
+# -- the elimination on integer matrices: any pivot order, one answer -------
 
 
 def perm_sign(p):
     return (-1) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
 
 
-def int_matrices(rng):
-    # (kind, matrix) pairs of order 1..8 whose entries span 0 to 40 bits,
-    # so the pivot rule both swaps and skips zeros
+def int_matrices(rng, orders, trials):
+    # (kind, matrix) pairs whose entries span 0 to 40 bits, so the pivot
+    # rule both swaps and skips zeros
     def entry():
         return rng.choice([0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-2 ** 40, 2 ** 40)])
 
-    for n in range(1, 9):
-        for _ in range(12):
+    for n in orders:
+        for _ in range(trials):
             m = [[entry() for _ in range(n)] for _ in range(n)]
             yield "random", m
             yield "zero diagonal", [[0 if i == j else x for j, x in enumerate(row)]
@@ -274,7 +274,7 @@ def int_matrices(rng):
             if n >= 2:
                 i, j = rng.sample(range(n), 2)
                 yield "equal rows", [m[i] if r == j else row for r, row in enumerate(m)]
-            # rank r <= n - 2: the trailing block is zero after step r
+            # rank r <= n - 2: every pivot after the r-th is zero
             r = rng.randint(0, max(0, n - 2))
             a = [[entry() for _ in range(r)] for _ in range(n)]
             b = [[entry() for _ in range(n)] for _ in range(r)]
@@ -282,20 +282,28 @@ def int_matrices(rng):
                                 for i in range(n)]
 
 
-def test_int_det_matches_fraction_det():
-    for kind, m in int_matrices(random.Random(10)):
-        assert exactdet._int_det([row[:] for row in m]) == fraction_det(m), (kind, m)
+def int_det(m):
+    # a constant entry packs to itself, so this is the elimination's own
+    # integer determinant, read back as one digit
+    return next(iter(bareiss_det([[(x,) if x else () for x in row] for row in m])), 0)
 
 
-def test_int_det_under_row_and_column_permutations():
-    # the orders move the zeros and the 1-bit entries the rule picks first
+def test_elimination_matches_fraction_det():
+    # up to order 14, where the dense cases fill in at every pivot
+    rng = random.Random(10)
+    for kind, m in chain(int_matrices(rng, range(1, 9), 12), int_matrices(rng, range(9, 15), 1)):
+        assert int_det(m) == fraction_det(m), (kind, m)
+
+
+def test_elimination_under_row_and_column_permutations():
+    # the orders move the zeros and the entries the pivot rule picks first
     m = [[0, 1, 6, 40], [3, 0, 2, 17], [9, 5, 0, 1], [100, 7, 4, 0]]
     det = fraction_det(m)
     assert det
     for p in permutations(range(4)):
         for q in permutations(range(4)):
             pmq = [[m[p[i]][q[j]] for j in range(4)] for i in range(4)]
-            assert exactdet._int_det(pmq) == perm_sign(p) * perm_sign(q) * det, (p, q)
+            assert int_det(pmq) == perm_sign(p) * perm_sign(q) * det, (p, q)
 
 
 # -- bareiss_det: raw tree matrices and wide coefficients -------------------
@@ -331,15 +339,15 @@ def test_pure_bareiss_takes_constant_matrices_in_one_elimination(monkeypatch):
     t = random_tree(24, 4, 0)
     calls = Counter()
 
-    def int_det(m, real=exactdet._int_det):
-        calls["_int_det"] += 1
+    def sparse_det(m, real=exactdet._sparse_det):
+        calls["_sparse_det"] += 1
         return real(m)
 
-    monkeypatch.setattr(exactdet, "_int_det", int_det)
+    monkeypatch.setattr(exactdet, "_sparse_det", sparse_det)
     rows = build_d(t)
     assert (hadamard_sq(rows).bit_length() + 1) // 2 + 2 > 64
     assert bareiss_det(rows) == [closedforms.bkn_det(t.weights)]
-    assert calls == {"_int_det": 1}
+    assert calls == {"_sparse_det": 1}
 
 
 def test_pure_bareiss_wide_coefficients_match_the_closed_form():

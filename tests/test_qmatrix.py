@@ -219,6 +219,43 @@ def test_congruent_determinants_match_the_closed_forms(n, max_weight, seed):
     ws = t.weights
     assert det_bareiss(tree_congruent(t, build_dq_star(t))) == closedforms.dq_star_closed(ws)
     assert det_bareiss(tree_congruent(t, build_dq(t))) == closedforms.dq_closed(ws)
+    assert (det_bareiss(tree_congruent(t, build_d(t), unit=True))
+            == Poly([closedforms.bkn_det(ws)]))
+    assert (det_bareiss(tree_congruent(t, build_d_plus_xJ(t), unit=True))
+            == closedforms.bkn_det_xj(ws))
+
+
+def unit_arrowhead(t, corner):
+    """[[corner, w^T], [w, -2 diag(w)]] at the root, read off the tree.
+
+    The root is the smallest label of degree at least 2 (1 when n <= 2),
+    and w_v is the weight of the edge from v towards it: of the two ends
+    of an edge, the one farther from the root.
+    """
+    n, adj = t.n, t.adjacency()
+    r = next((v for v in range(1, n + 1) if len(adj[v]) > 1), 1) - 1
+    dist = all_pairs_distances(t)[r]
+    c = [[()] * n for _ in range(n)]
+    c[r][r] = corner
+    for a, b, w in t.edges:
+        v = max(a - 1, b - 1, key=dist.__getitem__)
+        c[r][v] = c[v][r] = (w,)
+        c[v][v] = (-2 * w,)
+    return tuple(map(tuple, c))
+
+
+def test_unit_congruence_takes_d_and_d_plus_xj_to_arrowheads():
+    rng = random.Random(29)
+    for _ in range(200):
+        t = random_tree(rng.randint(2, 13), 4, rng.getrandbits(63))
+        n = t.n
+        for build, corner, size in ((build_d, (), 3 * n - 3),
+                                    (build_d_plus_xJ, (0, 1), 3 * n - 2)):
+            m = build(t)
+            c = tree_congruent(t, m, unit=True)
+            assert c == unit_arrowhead(t, corner), (t, build.__name__)
+            assert nonzeros(c) == size, (t, build.__name__)
+            assert det_bareiss(c) == det_bareiss(m), (t, build.__name__)
 
 
 def test_a_wrong_multiplier_keeps_the_determinant():
@@ -234,6 +271,13 @@ def test_a_wrong_multiplier_keeps_the_determinant():
             assert det_bareiss(c) == det_bareiss(m), (t, build.__name__)
             if t.n > 2:
                 assert nonzeros(c) > nonzeros(tree_congruent(t, m)), (t, build.__name__)
+        # and q^(w_v) in place of 1 on D and D + xJ
+        for build in (build_d, build_d_plus_xJ):
+            m = build(t)
+            c = tree_congruent(t, m)
+            assert det_bareiss(c) == det_bareiss(m), (t, build.__name__)
+            if t.n > 2:
+                assert nonzeros(c) > nonzeros(tree_congruent(t, m, unit=True)), t
 
 
 def hadamard_width(rows):
@@ -253,4 +297,4 @@ def test_det_checks_hand_the_kernel_narrow_q_matrices(monkeypatch):
 
     monkeypatch.setattr(exactdet, "bareiss_det", bareiss_det)
     assert all(c.passed for c in det_checks(t))
-    assert len(widths) == 4 and max(widths[2:]) <= 64, widths
+    assert len(widths) == 4 and max(widths) <= 64, widths
